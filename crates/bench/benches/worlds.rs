@@ -6,17 +6,14 @@
 //! conditions actually mention. On a 200-node tree with 40 declared but
 //! only 10 mentioned events the legacy path is infeasible (`2^40`
 //! valuations — it refuses at the default `2^24` guard) while the engine
-//! answers in milliseconds; on a dense tree (every declared event
-//! mentioned) the two do the same amount of enumeration and the engine's
-//! streamed canonical-form accumulator still avoids the second
-//! normalization pass.
+//! answers in milliseconds. The legacy path is also timed on dense trees
+//! (every declared event mentioned) as the Definition 4 baseline.
 //!
-//! Two further scenarios exercise the *factorized* shard executor: a
+//! Two further scenarios exercise the *factorized* shards: a
 //! many-small-components tree (24 events in 8 co-occurrence components of
 //! 3) where `Σ_c 2^{|C_i|} = 64` shard states replace the infeasible
 //! `2^24` joint walk (asserted via the enumeration counter), and a joint
-//! drain at feasible sizes comparing the shard-combine against the
-//! streamed engine.
+//! drain at feasible sizes, checked against the legacy enumeration.
 //!
 //! Set `PXML_BENCH_QUICK=1` (as CI does) for a fast smoke run with small
 //! iteration budgets.
@@ -25,8 +22,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pxml_core::semantics::possible_worlds;
-use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
+use pxml_core::semantics::{possible_worlds, possible_worlds_normalized};
+use pxml_core::worlds::WorldEngine;
 use pxml_core::ProbTree;
 use pxml_events::{Condition, Literal};
 use pxml_workloads::random::{
@@ -73,17 +70,15 @@ fn bench_engine_sparse(c: &mut Criterion) {
             "legacy full enumeration must refuse 2^40 valuations"
         );
         group.bench_with_input(BenchmarkId::from_parameter(mentioned), &tree, |b, tree| {
-            let engine = WorldEngine::new(tree);
-            b.iter(|| engine.normalized_worlds(24).unwrap());
+            b.iter(|| possible_worlds_normalized(tree, 24).unwrap());
         });
     }
     group.finish();
 }
 
-/// Dense trees (every declared event mentioned): legacy enumeration +
-/// two-pass normalization vs the engine's streamed accumulator, at equal
-/// `2^k` enumeration work.
-fn bench_dense_legacy_vs_engine(c: &mut Criterion) {
+/// Dense trees (every declared event mentioned): the legacy enumeration +
+/// two-pass normalization baseline.
+fn bench_dense_legacy(c: &mut Criterion) {
     let sizes: &[usize] = if quick() { &[6] } else { &[6, 8, 10] };
     let mut group = c.benchmark_group("worlds_dense_legacy");
     for &events in sizes {
@@ -93,20 +88,10 @@ fn bench_dense_legacy_vs_engine(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    let mut group = c.benchmark_group("worlds_dense_engine");
-    for &events in sizes {
-        let tree = sparse_tree(events, events);
-        group.bench_with_input(BenchmarkId::from_parameter(events), &tree, |b, tree| {
-            let engine = WorldEngine::new(tree);
-            b.iter(|| engine.normalized_worlds(24).unwrap());
-        });
-    }
-    group.finish();
 }
 
 /// Many small components: 24 events in 8 co-occurrence components of 3.
-/// The factorized shard executor enumerates `Σ_c 2^{|C_i|} = 64`
+/// The factorized shards enumerate `Σ_c 2^{|C_i|} = 64`
 /// assignments where any joint walk needs `2^24 ≈ 16.7M` — a ratio of
 /// 262144×, asserted below via the enumeration counter (not wall-clock).
 /// The shard-fold cross-check (`condition_probability`) is also asserted
@@ -116,10 +101,9 @@ fn bench_dense_legacy_vs_engine(c: &mut Criterion) {
 fn bench_factorized_many_components(c: &mut Criterion) {
     let tree = many_components_probtree(8, 3);
     let engine = WorldEngine::new(&tree);
-    let config = WorldEngineConfig::sequential();
 
     // Counter assertions, outside the timed region.
-    let factorized = engine.sharded(&config, 20).unwrap();
+    let factorized = engine.factorize(true, 20).unwrap();
     assert_eq!(
         factorized.states_enumerated(),
         8 * (1 << 3),
@@ -131,9 +115,9 @@ fn bench_factorized_many_components(c: &mut Criterion) {
         ratio >= 1000,
         "factorized enumeration must be ≥1000× fewer assignments than joint (got {ratio}×)"
     );
-    // The streamed (PR-2) engine refuses this tree outright at the same
-    // budget: 24 relevant events > 20.
-    assert!(engine.normalized_worlds(20).is_err());
+    // The legacy enumeration refuses this tree outright at the same
+    // budget: 24 events > 20.
+    assert!(possible_worlds(&tree, 20).is_err());
     // Shard-fold cross-check against the analytic product.
     let first_component: Vec<_> = engine.components()[0].clone();
     let condition = Condition::from_literals(first_component.iter().map(|&e| Literal::pos(e)));
@@ -143,56 +127,28 @@ fn bench_factorized_many_components(c: &mut Criterion) {
     let mut group = c.benchmark_group("worlds_factorized_many_components");
     group.bench_with_input(BenchmarkId::new("shard_build", "8x3"), &tree, |b, tree| {
         let engine = WorldEngine::new(tree);
-        b.iter(|| engine.sharded(&config, 20).unwrap());
+        b.iter(|| engine.factorize(true, 20).unwrap());
     });
     group.finish();
 }
 
 /// Joint drain at feasible sizes: the factorized combine (shards, then the
-/// cross product of the deduplicated classes) vs the streamed PR-2 engine
-/// vs the legacy full enumeration, producing the same normalized PW set.
-fn bench_factorized_vs_joint_drain(c: &mut Criterion) {
+/// cross product of the deduplicated classes), producing the same
+/// normalized PW set as the legacy full enumeration.
+fn bench_factorized_joint_drain(c: &mut Criterion) {
     let sizes: &[usize] = if quick() { &[3] } else { &[3, 4] };
-    let config = WorldEngineConfig::sequential();
     for &components in sizes {
         let tree = many_components_probtree(components, 3);
-        let engine = WorldEngine::new(&tree);
-        // All three engines agree (asserted once, untimed).
-        let factorized = engine
-            .sharded(&config, 16)
-            .unwrap()
-            .normalized_worlds()
-            .unwrap();
-        let streamed = engine.normalized_worlds(16).unwrap();
+        // Both enumerations agree (asserted once, untimed).
+        let factorized = possible_worlds_normalized(&tree, 16).unwrap();
         let legacy = possible_worlds(&tree, 16).unwrap().normalized();
-        assert!(factorized.isomorphic(&streamed));
         assert!(factorized.isomorphic(&legacy));
 
         let mut group = c.benchmark_group("worlds_joint_factorized");
         group.bench_with_input(
             BenchmarkId::from_parameter(components * 3),
             &tree,
-            |b, tree| {
-                let engine = WorldEngine::new(tree);
-                b.iter(|| {
-                    engine
-                        .sharded(&config, 16)
-                        .unwrap()
-                        .normalized_worlds()
-                        .unwrap()
-                });
-            },
-        );
-        group.finish();
-
-        let mut group = c.benchmark_group("worlds_joint_streamed");
-        group.bench_with_input(
-            BenchmarkId::from_parameter(components * 3),
-            &tree,
-            |b, tree| {
-                let engine = WorldEngine::new(tree);
-                b.iter(|| engine.normalized_worlds(16).unwrap());
-            },
+            |b, tree| b.iter(|| possible_worlds_normalized(tree, 16).unwrap()),
         );
         group.finish();
     }
@@ -215,7 +171,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_engine_sparse, bench_dense_legacy_vs_engine,
-        bench_factorized_many_components, bench_factorized_vs_joint_drain
+    targets = bench_engine_sparse, bench_dense_legacy,
+        bench_factorized_many_components, bench_factorized_joint_drain
 }
 criterion_main!(benches);

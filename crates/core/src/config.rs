@@ -1,22 +1,17 @@
 //! Workspace-wide runtime configuration helpers.
 //!
 //! The only configuration channel besides explicit `*Config` structs is a
-//! small set of environment overrides. Their parsing used to be
-//! re-implemented ad hoc at every consumer (the world engine's knobs in
-//! [`crate::worlds`], the benchmark quick-mode switch in `pxml-bench`);
-//! [`mod@env`] is the single shared implementation, with typed errors instead
-//! of silent `Option` collapses so strict callers can distinguish "unset"
-//! from "set to garbage".
+//! small set of environment overrides for the benchmarks and the warehouse
+//! traffic driver. [`mod@env`] is their single shared parser, with typed
+//! errors instead of silent `Option` collapses so strict callers can
+//! distinguish "unset" from "set to garbage". The query and world engines
+//! read no environment: their one knob is an explicit `max_events` budget.
 
 pub mod env {
     //! Typed parsing of `PXML_*` environment overrides.
     //!
     //! Recognized variables:
     //!
-    //! * [`WORLDS_PARALLELISM`] — worker-thread cap of the factorized
-    //!   world executor (`1` disables the pool);
-    //! * [`WORLDS_MAX_JOINT`] — cap on joint cross-product assignments a
-    //!   shard-combining consumer may materialize;
     //! * [`BENCH_QUICK`] — truthy flag shrinking benchmark workloads to
     //!   smoke-test size (any value except `0`, `false`, `off`, `no`);
     //! * [`SERVER_THREADS`] — worker-thread cap of the warehouse traffic
@@ -30,10 +25,6 @@ pub mod env {
     use std::fmt;
     use std::str::FromStr;
 
-    /// Worker-thread cap of the factorized world executor.
-    pub const WORLDS_PARALLELISM: &str = "PXML_WORLDS_PARALLELISM";
-    /// Joint cross-product cap of shard-combining world consumers.
-    pub const WORLDS_MAX_JOINT: &str = "PXML_WORLDS_MAX_JOINT";
     /// Truthy flag shrinking benchmark workloads to smoke-test size.
     pub const BENCH_QUICK: &str = "PXML_BENCH_QUICK";
     /// Worker-thread cap of the warehouse traffic driver.
@@ -103,7 +94,7 @@ pub mod env {
 
     /// [`parse`] collapsed to the historical lenient behavior: unset *and*
     /// invalid both yield `None`. Consumers whose contract is "overrides
-    /// are best-effort" (the world engine's `from_env`) use this; strict
+    /// are best-effort" (the traffic driver's `from_env`) use this; strict
     /// consumers call [`parse`] and surface the error.
     pub fn parse_lenient<T>(name: &'static str) -> Option<T>
     where

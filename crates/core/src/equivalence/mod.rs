@@ -67,7 +67,7 @@ pub fn structural_equivalent_exhaustive_with(
 
 /// Semantic equivalence (`≡sem`): the possible-world semantics of the two
 /// prob-trees are isomorphic PW sets. Exponential in the worst case; both
-/// expansions run on the factorized shard executor
+/// expansions run on the factorized world engine
 /// ([`possible_worlds_normalized`]), so each side costs `Σ_c 2^{|C_i|}`
 /// shard states plus the joint combine of its condition-distinct classes.
 ///
@@ -96,12 +96,16 @@ pub fn semantic_equivalent(
 /// paper observes this is computationally equivalent to structural
 /// equivalence (it can be used to encode an equivalence check and vice
 /// versa). Exhaustive over the relevant events (plus `event` itself, so
-/// both of its polarities are always probed).
+/// both of its polarities are always probed). An event the tree does not
+/// declare is trivially independent: no world can depend on it.
 pub fn independent_of_event_exhaustive(
     tree: &ProbTree,
     event: pxml_events::EventId,
     max_events: usize,
 ) -> Result<bool, TooManyValuations> {
+    if event.index() >= tree.events().len() {
+        return Ok(true);
+    }
     let engine = WorldEngine::with_extra_events(tree, [event]);
     for valuation in engine.all_valuations(max_events)? {
         if valuation.get(event) {
@@ -215,7 +219,7 @@ mod tests {
     }
 
     /// Semantic equivalence through the factorized expansion, on trees
-    /// whose 18 relevant events exceed the streamed guard at this budget
+    /// whose 18 relevant events exceed a `2^{|relevant|}` guard at this budget
     /// (6 components of 3 events): adding a node guarded by a
     /// contradictory condition changes the syntax but not the semantics,
     /// and a genuinely different tree is still distinguished.
@@ -246,7 +250,7 @@ mod tests {
             Condition::from_literals([Literal::pos(e), Literal::neg(e)]),
         );
         assert_eq!(a.events().len(), 18);
-        assert!(WorldEngine::new(&a).normalized_worlds(16).is_err());
+        assert!(crate::semantics::possible_worlds(&a, 16).is_err());
         assert!(semantic_equivalent(&a, &b, 16).unwrap());
         let (mut c, _) = build();
         let root = c.tree().root();
@@ -267,6 +271,22 @@ mod tests {
         let root = u.tree().root();
         u.add_child(root, "B", Condition::always());
         assert!(independent_of_event_exhaustive(&u, w, 20).unwrap());
+    }
+
+    /// Regression: an event id past the declared table used to index past
+    /// the valuation (a debug-build panic, and in release a silent answer
+    /// for id 5 but an out-of-bounds panic for id 70, past the first word).
+    #[test]
+    fn independence_of_an_undeclared_event_is_trivially_true() {
+        let mut t = ProbTree::new("A");
+        let w = t.events_mut().insert("w", 0.5);
+        let root = t.tree().root();
+        t.add_child(root, "B", Condition::of(Literal::pos(w)));
+        for id in [5, 70] {
+            let undeclared = pxml_events::EventId::from_index(id);
+            assert!(independent_of_event_exhaustive(&t, undeclared, 20).unwrap());
+        }
+        assert!(!independent_of_event_exhaustive(&t, w, 20).unwrap());
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod clean;
 pub mod config;
 pub mod document;
 pub mod equivalence;
-pub mod prelude;
 pub mod probtree;
 pub mod proxml;
 pub mod pwset;
@@ -69,13 +68,13 @@ pub use query::pattern::PatternQuery;
 pub use query::{
     AnswerSet, FallbackReason, MaintainError, MaintainOutcome, MaintainStats,
     MonotonicityCertificate, PreparedQuery, QueryEngine, QueryEngineConfig, QueryHints,
-    SemiringCacheStats, Theorem1Error, TieBreak,
+    SemiringCacheStats, Theorem1Error,
 };
 pub use update::{
     DeletionForecast, ProbabilisticUpdate, SurvivorBudgetExceeded, UpdateAction, UpdateEngine,
     UpdateEngineConfig, UpdateOperation, UpdateScript,
 };
-pub use worlds::{FactorizedWorlds, ShardExecutor, ShardPlan, WorldEngine, WorldEngineConfig};
+pub use worlds::{FactorizedWorlds, ShardPlan, WorldEngine};
 
 /// Default bound on the number of event variables accepted by APIs that
 /// enumerate all `2^{|W|}` possible worlds. Re-exported from `pxml-events`.

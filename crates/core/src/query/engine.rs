@@ -1,10 +1,9 @@
 //! The prepared, streaming query engine.
 //!
-//! The free functions of [`prob`](super::prob) and [`ranked`](super::ranked)
-//! each re-run the match from scratch, materialize every answer eagerly and
-//! fully sort before truncating — the wrong shape for ranked retrieval,
-//! where an application prepares a query once and then asks for the top
-//! few answers, a threshold slice, or an aggregate, over and over.
+//! Ranked retrieval prepares a query once and then asks for the top few
+//! answers, a threshold slice, or an aggregate, over and over — so
+//! re-running the match, materializing every answer eagerly and fully
+//! sorting before truncating is the wrong shape.
 //! [`QueryEngine::prepare`] instead evaluates the match set and the
 //! per-answer condition unions of Definition 8 **exactly once** and returns
 //! a [`PreparedQuery`] that serves every consumer from that shared state:
@@ -19,8 +18,7 @@
 //! * [`PreparedQuery::expected_matches`], [`PreparedQuery::probability_of`]
 //!   — aggregates and point lookups;
 //! * [`PreparedQuery::theorem1_check`] — the Theorem 1 cross-check through
-//!   the factorized world engine, honoring the engine's world budget and
-//!   parallelism configuration.
+//!   the factorized world engine, honoring the engine's world budget.
 //!
 //! Condition unions are **interned**: distinct answers sharing the same
 //! union (common in fan-out-heavy trees where siblings inherit one
@@ -45,46 +43,10 @@ use pxml_tree::NodeId;
 use crate::document::{DeltaWindow, Document, DocumentId, Epoch};
 use crate::probtree::ProbTree;
 use crate::pwset::PossibleWorldSet;
-use crate::semantics::possible_worlds_factorized;
-use crate::worlds::WorldEngineConfig;
+use crate::semantics::possible_worlds_normalized;
 
 use super::prob::{query_pw_set, ProbAnswer};
 use super::{MonotonicityCertificate, Query, Theorem1Error};
-
-/// How equal-probability answers are ordered in ranked selection.
-///
-/// Every policy is refined by the answer's position in the
-/// [`Query::evaluate`] output as a final discriminator, so the induced
-/// order is **total**: the bounded-heap [`PreparedQuery::top_k`] and a
-/// full-sort reference select exactly the same answers in the same order.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TieBreak {
-    /// Order ties by the canonical form of the answer tree under multiset
-    /// semantics (the default, and the policy of the legacy
-    /// [`top_k`](super::ranked::top_k)): deterministic across runs and
-    /// independent of node identities.
-    #[default]
-    Canonical,
-    /// Like [`TieBreak::Canonical`] but under set semantics (duplicate
-    /// siblings collapse to one canonical child).
-    CanonicalSet,
-    /// Keep ties in match order (the [`Query::evaluate`] output order).
-    /// Skips canonical-string construction entirely; deterministic for
-    /// deterministic queries, but sensitive to node numbering.
-    MatchOrder,
-}
-
-impl TieBreak {
-    /// The canonicalization semantics of the policy, or `None` when ties
-    /// are kept in match order.
-    fn semantics(self) -> Option<Semantics> {
-        match self {
-            TieBreak::Canonical => Some(Semantics::MultiSet),
-            TieBreak::CanonicalSet => Some(Semantics::Set),
-            TieBreak::MatchOrder => None,
-        }
-    }
-}
 
 /// Configuration of a [`QueryEngine`].
 #[derive(Clone, Debug)]
@@ -93,38 +55,13 @@ pub struct QueryEngineConfig {
     /// co-occurrence component (and, as `2^max_events`, the total shard
     /// and joint work) the factorized expansion may enumerate.
     pub max_events: usize,
-    /// Passthrough to the factorized world engine (worker threads, joint
-    /// cross-product cap; the environment switches
-    /// `PXML_WORLDS_PARALLELISM` / `PXML_WORLDS_MAX_JOINT` apply).
-    pub worlds: WorldEngineConfig,
-    /// Tie-break policy of ranked selection.
-    pub tie_break: TieBreak,
 }
 
 impl Default for QueryEngineConfig {
     fn default() -> Self {
-        QueryEngineConfig::for_event_budget(crate::DEFAULT_MAX_EXHAUSTIVE_EVENTS)
-    }
-}
-
-impl QueryEngineConfig {
-    /// The configuration for consumers whose public contract is an
-    /// event-count guard: the Theorem 1 cross-check refuses components
-    /// larger than `max_events` and the world engine's joint cap defaults
-    /// to the `2^{max_events}` budget granted here (mirroring
-    /// [`WorldEngineConfig::for_event_budget`]).
-    pub fn for_event_budget(max_events: usize) -> Self {
         QueryEngineConfig {
-            max_events,
-            worlds: WorldEngineConfig::for_event_budget(max_events),
-            tie_break: TieBreak::default(),
+            max_events: crate::DEFAULT_MAX_EXHAUSTIVE_EVENTS,
         }
-    }
-
-    /// Returns the configuration with the given tie-break policy.
-    pub fn with_tie_break(mut self, tie_break: TieBreak) -> Self {
-        self.tie_break = tie_break;
-        self
     }
 }
 
@@ -142,11 +79,6 @@ pub struct QueryHints {
 
 /// The query engine: a reusable configuration from which
 /// [`PreparedQuery`] states are built.
-///
-/// The legacy free functions ([`super::prob::query_probtree`],
-/// [`super::ranked::top_k`], …) are thin wrappers over a default engine,
-/// mirroring how [`crate::update::ProbabilisticUpdate::apply_to_probtree`]
-/// wraps the [`crate::update::UpdateEngine`].
 #[derive(Clone, Debug, Default)]
 pub struct QueryEngine {
     config: QueryEngineConfig,
@@ -1084,9 +1016,9 @@ impl<'a> PreparedQuery<'a> {
     /// The `k` most probable answers, best first, selected with a bounded
     /// binary heap: `O(n log k)` rank comparisons instead of a full
     /// `O(n log n)` sort, and only the `k` winners are materialized.
-    /// Zero-probability answers are dropped; ties follow the configured
-    /// [`TieBreak`] policy, whose canonical keys are built at most once
-    /// per answer and cached across calls.
+    /// Zero-probability answers are dropped; ties are ordered by the
+    /// answer's canonical form, whose keys are built at most once per
+    /// answer and cached across calls.
     pub fn top_k(&self, k: usize) -> AnswerSet {
         let counters = SelectionCounters::default();
         let mut heap: BinaryHeap<HeapEntry<'_, 'a>> = BinaryHeap::with_capacity(k.min(self.len()));
@@ -1158,8 +1090,12 @@ impl<'a> PreparedQuery<'a> {
         }
     }
 
-    /// Rank order: probability descending, then the tie-break policy,
-    /// then match order (a total order — see [`TieBreak`]).
+    /// Rank order: probability descending, then the canonical form of the
+    /// answer tree under multiset semantics (deterministic across runs and
+    /// independent of node identities), then match order — the position
+    /// in the [`Query::evaluate`] output. The order is **total**, so the
+    /// bounded-heap [`PreparedQuery::top_k`] and the full-sort
+    /// [`PreparedQuery::ranked`] select the same answers in the same order.
     fn rank_cmp(&self, a: (usize, f64), b: (usize, f64), counters: &SelectionCounters) -> Ordering {
         counters.comparisons.set(counters.comparisons.get() + 1);
         match b
@@ -1170,28 +1106,21 @@ impl<'a> PreparedQuery<'a> {
             Ordering::Equal => {}
             order => return order,
         }
-        if let Some(semantics) = self.config.tie_break.semantics() {
-            match self
-                .tie_key(a.0, semantics, counters)
-                .cmp(self.tie_key(b.0, semantics, counters))
-            {
-                Ordering::Equal => {}
-                order => return order,
-            }
-        }
-        a.0.cmp(&b.0)
+        self.tie_key(a.0, counters)
+            .cmp(self.tie_key(b.0, counters))
+            .then_with(|| a.0.cmp(&b.0))
     }
 
     /// The canonical tie-break key of an answer, built on first use and
     /// cached — the legacy sort recomputed it inside **every** comparison.
-    fn tie_key(&self, index: usize, semantics: Semantics, counters: &SelectionCounters) -> &str {
+    fn tie_key(&self, index: usize, counters: &SelectionCounters) -> &str {
         self.tie_keys[index].get_or_init(|| {
             counters
                 .tie_keys_built
                 .set(counters.tie_keys_built.get() + 1);
             self.answers[index]
                 .subtree
-                .canonical_string(self.tree.get().tree(), semantics)
+                .canonical_string(self.tree.get().tree(), Semantics::MultiSet)
         })
     }
 
@@ -1212,9 +1141,8 @@ impl<'a> PreparedQuery<'a> {
 
     /// Checks Theorem 1 (`Q(T) ∼ Q(JT K)`) on the prepared state by
     /// exhaustive expansion through the **factorized** world engine,
-    /// under the engine's world budget (`max_events`) and executor
-    /// configuration (parallelism, joint cap). Exponential in the worst
-    /// case; returns an error instead of exceeding the budget.
+    /// under the engine's world budget (`max_events`). Exponential in the
+    /// worst case; returns an error instead of exceeding the budget.
     ///
     /// Theorem 1 only holds for locally monotone queries, so the static
     /// [`MonotonicityCertificate`] is consulted first: a
@@ -1227,11 +1155,7 @@ impl<'a> PreparedQuery<'a> {
             return Err(Theorem1Error::NotCertifiedMonotone { reason });
         }
         let direct = self.as_pw_set();
-        let worlds = possible_worlds_factorized(
-            self.tree.get(),
-            self.config.max_events,
-            &self.config.worlds,
-        )?;
+        let worlds = possible_worlds_normalized(self.tree.get(), self.config.max_events)?;
         let via_worlds = query_pw_set(self.query.get(), &worlds);
         Ok(direct.normalized().isomorphic(&via_worlds.normalized()))
     }
@@ -1597,31 +1521,6 @@ mod tests {
     }
 
     #[test]
-    fn match_order_tie_break_skips_key_construction() {
-        let mut tree = ProbTree::new("r");
-        let root = tree.tree().root();
-        for i in 0..4 {
-            let w = tree.events_mut().insert(format!("w{i}"), 0.5);
-            tree.add_child(root, format!("x{i}"), Condition::of(Literal::pos(w)));
-        }
-        let q = PatternQuery::new(None);
-        let engine = QueryEngine::with_config(
-            QueryEngineConfig::default().with_tie_break(TieBreak::MatchOrder),
-        );
-        let prepared = engine.prepare(&tree, &q);
-        let ranked = prepared.ranked();
-        assert_eq!(ranked.stats().tie_keys_built, 0);
-        assert_eq!(prepared.num_cached_tie_keys(), 0);
-        // Equal-probability answers stay in match order.
-        let equal: Vec<usize> = ranked
-            .iter()
-            .filter(|a| prob_eq(a.probability, 0.5))
-            .map(|a| a.tree.len())
-            .collect();
-        assert!(!equal.is_empty());
-    }
-
-    #[test]
     fn probability_of_looks_up_prepared_answers() {
         let tree = figure1_example();
         let mut q = PatternQuery::new(Some("C"));
@@ -1660,9 +1559,9 @@ mod tests {
             Condition::from_literals(events.iter().map(|&e| Literal::pos(e))),
         );
         let q = PatternQuery::new(Some("B"));
-        let tight = QueryEngine::with_config(QueryEngineConfig::for_event_budget(4));
+        let tight = QueryEngine::with_config(QueryEngineConfig { max_events: 4 });
         assert!(tight.prepare(&tree, &q).theorem1_check().is_err());
-        let roomy = QueryEngine::with_config(QueryEngineConfig::for_event_budget(8));
+        let roomy = QueryEngine::with_config(QueryEngineConfig { max_events: 8 });
         assert!(roomy.prepare(&tree, &q).theorem1_check().unwrap());
     }
 

@@ -13,18 +13,19 @@
 //! [`engine::QueryEngine::prepare`] computes the match set and per-answer
 //! condition unions once, and the returned [`engine::PreparedQuery`]
 //! serves streaming, top-k, threshold, aggregate and Theorem 1 consumers
-//! from that shared state. The free functions of [`prob`] and [`ranked`]
-//! are thin one-shot wrappers over a default engine.
+//! from that shared state. [`prob`] holds the answer type and the
+//! Definition 7 evaluation on possible-world sets.
 
 pub mod engine;
 pub mod monotone;
 pub mod pattern;
 pub mod prob;
-pub mod ranked;
+#[cfg(test)]
+mod ranked;
 
 pub use engine::{
     AnswerSet, FallbackReason, MaintainError, MaintainOutcome, MaintainStats, PreparedQuery,
-    QueryEngine, QueryEngineConfig, QueryHints, SelectionStats, SemiringCacheStats, TieBreak,
+    QueryEngine, QueryEngineConfig, QueryHints, SelectionStats, SemiringCacheStats,
 };
 
 use pxml_events::valuation::TooManyValuations;

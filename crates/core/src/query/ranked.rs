@@ -1,71 +1,28 @@
-//! Ranked (top-k) query answers.
+//! Tests of ranked (top-k) query answers.
 //!
 //! The paper's conclusion lists "algorithms obtaining the most probable
 //! results first" as a natural follow-up to the prob-tree model: since
 //! every answer of a locally monotone query carries a probability
-//! (Definition 8), answers can be ranked by that probability and
-//! applications usually only need the best few. This module provides the
-//! ranking layer on top of [`super::prob::query_probtree`]:
-//!
-//! * [`top_k`] — the `k` most probable answers, ties broken
-//!   deterministically by the answer's canonical form;
-//! * [`above`] — all answers with probability at least a threshold;
-//! * [`expected_matches`] — the expected number of answers over the
-//!   possible worlds (a simple aggregate; the multiset semantics makes this
-//!   the plain sum of answer probabilities).
-//!
-//! All three are one-shot wrappers over a default
-//! [`QueryEngine`]: `top_k` runs the bounded
-//! binary heap (`O(n log k)` with cached canonical tie-break keys),
-//! `above` the short-circuit threshold path that only sorts qualifying
-//! answers (it no longer full-sorts via `top_k(usize::MAX)`). Repeated
-//! consumers should prepare once and reuse the
-//! [`PreparedQuery`](super::engine::PreparedQuery).
+//! (Definition 8), answers can be ranked by that probability. The ranking
+//! itself lives on [`PreparedQuery`]: `top_k` (bounded heap, canonical
+//! tie-break), `above` (threshold slice) and `expected_matches` (the sum
+//! of answer probabilities, by linearity of expectation under the
+//! multiset semantics). This module checks those selections against the
+//! possible-world semantics and against each other.
 
-use crate::probtree::ProbTree;
-use crate::query::engine::QueryEngine;
-use crate::query::prob::ProbAnswer;
-use crate::query::Query;
-
-/// The `k` most probable answers of `query` on `tree`, sorted by
-/// decreasing probability. Zero-probability answers (inconsistent
-/// condition sets) are dropped. Ties are broken by the canonical form of
-/// the answer tree so the result is deterministic.
-#[deprecated(note = "use QueryEngine / Document")]
-pub fn top_k(query: &dyn Query, tree: &ProbTree, k: usize) -> Vec<ProbAnswer> {
-    QueryEngine::new().prepare(tree, query).top_k(k).into_vec()
-}
-
-/// All answers with probability at least `threshold`, sorted by decreasing
-/// probability.
-#[deprecated(note = "use QueryEngine / Document")]
-pub fn above(query: &dyn Query, tree: &ProbTree, threshold: f64) -> Vec<ProbAnswer> {
-    QueryEngine::new()
-        .prepare(tree, query)
-        .above(threshold)
-        .into_vec()
-}
-
-/// The expected number of query answers over the possible worlds of the
-/// prob-tree. Because the model uses multiset semantics and answers are
-/// sub-datatrees of the underlying tree, linearity of expectation makes
-/// this the sum of the per-answer probabilities — a cheap aggregate that
-/// needs no world expansion.
-#[deprecated(note = "use QueryEngine / Document")]
-pub fn expected_matches(query: &dyn Query, tree: &ProbTree) -> f64 {
-    QueryEngine::new().prepare(tree, query).expected_matches()
-}
-
-#[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the deprecated one-shot wrappers are the units under test
-
-    use super::*;
-    use crate::probtree::figure1_example;
+    use crate::probtree::{figure1_example, ProbTree};
+    use crate::query::engine::{PreparedQuery, QueryEngine};
     use crate::query::pattern::PatternQuery;
+    use crate::query::prob::ProbAnswer;
     use crate::semantics::possible_worlds;
     use pxml_events::{prob_eq, Condition, Literal};
     use pxml_tree::canon::{canonical_string, Semantics};
+
+    /// Prepares `query` on `tree` with a default engine.
+    fn prepare<'a>(tree: &'a ProbTree, query: &'a PatternQuery) -> PreparedQuery<'a> {
+        QueryEngine::new().prepare(tree, query)
+    }
 
     /// A root with three children of the same label but different
     /// probabilities, so ranking is non-trivial.
@@ -88,11 +45,11 @@ mod tests {
     fn top_k_orders_by_probability() {
         let t = catalog();
         let q = PatternQuery::new(Some("item"));
-        let top = top_k(&q, &t, 2);
+        let top = prepare(&t, &q).top_k(2);
         assert_eq!(top.len(), 2);
         assert!(prob_eq(top[0].probability, 0.9));
         assert!(prob_eq(top[1].probability, 0.5));
-        let all = top_k(&q, &t, 10);
+        let all = prepare(&t, &q).top_k(10);
         assert_eq!(all.len(), 3);
         assert!(prob_eq(all[2].probability, 0.2));
     }
@@ -119,7 +76,7 @@ mod tests {
                 .map(|a| canonical_string(&a.tree, Semantics::MultiSet))
                 .collect()
         };
-        let full = top_k(&q, &tie_tree, 8);
+        let full = prepare(&tie_tree, &q).top_k(8);
         let keys = keys_of(&full);
         // Equal probabilities everywhere, so the order IS the sorted
         // canonical-key order.
@@ -127,13 +84,16 @@ mod tests {
         sorted.sort();
         assert_eq!(keys, sorted, "ties must follow the canonical order");
         // Repeated calls (fresh engines) agree byte for byte.
-        assert_eq!(keys_of(&top_k(&q, &tie_tree, 8)), keys);
+        assert_eq!(keys_of(&prepare(&tie_tree, &q).top_k(8)), keys);
         // Every k slices the same ranking, even through the tie block.
         for k in 1..8 {
-            assert_eq!(keys_of(&top_k(&q, &tie_tree, k)), keys[..k].to_vec());
+            assert_eq!(
+                keys_of(&prepare(&tie_tree, &q).top_k(k)),
+                keys[..k].to_vec()
+            );
         }
         // The heap path agrees with the full-sort reference.
-        let prepared = crate::query::engine::QueryEngine::new().prepare(&tie_tree, &q);
+        let prepared = prepare(&tie_tree, &q);
         assert_eq!(keys_of(&prepared.ranked()), keys);
         assert_eq!(keys_of(&prepared.top_k(3)), keys[..3].to_vec());
     }
@@ -150,17 +110,17 @@ mod tests {
         let mut q = PatternQuery::anchored(Some("A"));
         q.add_child(q.root(), "B");
         q.add_child(q.root(), "C");
-        assert!(top_k(&q, &t, 10).is_empty());
-        assert!(above(&q, &t, 0.0).is_empty());
+        assert!(prepare(&t, &q).top_k(10).is_empty());
+        assert!(prepare(&t, &q).above(0.0).is_empty());
     }
 
     #[test]
     fn above_threshold_filters() {
         let t = catalog();
         let q = PatternQuery::new(Some("item"));
-        assert_eq!(above(&q, &t, 0.4).len(), 2);
-        assert_eq!(above(&q, &t, 0.95).len(), 0);
-        assert_eq!(above(&q, &t, 0.0).len(), 3);
+        assert_eq!(prepare(&t, &q).above(0.4).len(), 2);
+        assert_eq!(prepare(&t, &q).above(0.95).len(), 0);
+        assert_eq!(prepare(&t, &q).above(0.0).len(), 3);
     }
 
     #[test]
@@ -170,7 +130,7 @@ mod tests {
         let t = figure1_example();
         let mut q = PatternQuery::new(Some("C"));
         q.add_child(q.root(), "D");
-        let direct = expected_matches(&q, &t);
+        let direct = prepare(&t, &q).expected_matches();
         // World-by-world expectation.
         use crate::query::Query as _;
         let mut via_worlds = 0.0;
@@ -185,6 +145,6 @@ mod tests {
     fn expected_matches_counts_multiplicities() {
         let t = catalog();
         let q = PatternQuery::new(Some("item"));
-        assert!(prob_eq(expected_matches(&q, &t), 0.9 + 0.5 + 0.2));
+        assert!(prob_eq(prepare(&t, &q).expected_matches(), 0.9 + 0.5 + 0.2));
     }
 }

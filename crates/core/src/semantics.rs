@@ -20,7 +20,7 @@ use pxml_tree::DataTree;
 
 use crate::probtree::ProbTree;
 use crate::pwset::PossibleWorldSet;
-use crate::worlds::{WorldEngine, WorldEngineConfig};
+use crate::worlds::WorldEngine;
 
 /// Computes the possible-world semantics `JT K` of a prob-tree
 /// (Definition 4) by full enumeration of the **declared** event table. The
@@ -54,39 +54,16 @@ pub fn possible_worlds(
 ///
 /// `max_events` bounds both the largest single component and (as
 /// `2^{max_events}`) the total shard work and the joint combine, so
-/// everything the legacy relevant-event guard accepted is still accepted —
-/// and trees whose relevant events split into many small components are
-/// now tractable far beyond it. The executor honors the
-/// `PXML_WORLDS_PARALLELISM` / `PXML_WORLDS_MAX_JOINT` environment
-/// switches via [`WorldEngineConfig::for_event_budget`], whose joint cap
-/// defaults to exactly the `2^{max_events}` budget granted here.
+/// everything a `2^{|relevant|}` guard accepts is still accepted — and
+/// trees whose relevant events split into many small components are
+/// tractable far beyond it (see [`WorldEngine::factorize`]).
 pub fn possible_worlds_normalized(
     tree: &ProbTree,
     max_events: usize,
 ) -> Result<PossibleWorldSet, TooManyValuations> {
-    possible_worlds_factorized(
-        tree,
-        max_events,
-        &WorldEngineConfig::for_event_budget(max_events),
-    )
-}
-
-/// [`possible_worlds_normalized`] under an explicit executor
-/// configuration (thread budget and joint cross-product cap).
-pub fn possible_worlds_factorized(
-    tree: &ProbTree,
-    max_events: usize,
-    config: &WorldEngineConfig,
-) -> Result<PossibleWorldSet, TooManyValuations> {
-    let engine = WorldEngine::new(tree);
-    let config = config.clone().with_joint_cap_bits(max_events);
-    let factorized = engine.sharded(&config, max_events)?;
-    factorized
+    WorldEngine::new(tree)
+        .factorize(true, max_events)?
         .normalized_worlds()
-        .map_err(|_joint| TooManyValuations {
-            num_events: factorized.num_free_events(),
-            max_events,
-        })
 }
 
 /// Error raised by [`pw_set_to_probtree`] when the input is not a valid PW
@@ -348,11 +325,11 @@ mod tests {
         assert!(fast.isomorphic(&legacy));
     }
 
-    /// A tree the streamed relevant-event guard refuses (18 relevant
-    /// events > `max_events` = 16) but the factorized path handles: 6
-    /// components of 3 events, each carrying a single 3-literal condition,
-    /// so every shard collapses to 2 signature classes and the joint walk
-    /// visits 2^6 = 64 states.
+    /// A tree a `2^{|relevant|}` guard refuses (18 relevant events >
+    /// `max_events` = 16) but the factorized path handles: 6 components
+    /// of 3 events, each carrying a single 3-literal condition, so every
+    /// shard collapses to 2 signature classes and the joint walk visits
+    /// 2^6 = 64 states.
     #[test]
     fn factorization_extends_the_tractable_frontier() {
         let mut t = ProbTree::new("A");
@@ -367,12 +344,12 @@ mod tests {
         }
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.num_relevant(), 18);
-        // The streamed engine refuses: 18 > 16.
-        assert!(engine.normalized_worlds(16).is_err());
+        // The Definition 4 enumeration refuses: 18 > 16.
+        assert!(possible_worlds(&t, 16).is_err());
         // The factorized path answers: Σ 2^3 = 48 shard states, 64 joint
-        // classes — and matches the unguarded streamed enumeration.
+        // classes — and matches the unguarded legacy enumeration.
         let fast = possible_worlds_normalized(&t, 16).unwrap();
-        let reference = engine.normalized_worlds(18).unwrap();
+        let reference = possible_worlds(&t, 18).unwrap().normalized();
         assert!(fast.isomorphic(&reference));
         assert!(prob_eq(fast.total_probability(), 1.0));
         // 2^6 distinct worlds: each component's C_i child present or not.

@@ -31,7 +31,7 @@ pub struct ThresholdRestriction {
 /// see [`PossibleWorldSet::restrict_to_threshold`]).
 ///
 /// Exponential in the worst case (this is inherent — see Theorem 4), but
-/// the normalization runs on the factorized shard executor: each
+/// the normalization runs on the factorized world engine: each
 /// co-occurrence component is enumerated independently (`Σ_c 2^{|C_i|}`
 /// states) and only the condition-distinct classes are crossed, so trees
 /// whose relevant events split into many small components restrict far
@@ -165,7 +165,7 @@ mod tests {
     }
 
     /// 18 relevant events in 6 components of 3 (one 3-literal condition
-    /// each) exceed a `max_events = 16` budget for the streamed engine,
+    /// each) exceed a `max_events = 16` budget for a `2^{|relevant|}` guard,
     /// but factorize into `Σ 2^3 = 48` shard states and 64 joint classes:
     /// the restriction answers, and exactly, at the class probabilities.
     #[test]

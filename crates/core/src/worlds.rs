@@ -1,9 +1,9 @@
-//! The relevant-event world engine.
+//! The relevant-event world engine — the one enumerator behind every
+//! exhaustive operation on a prob-tree.
 //!
-//! Every exhaustive operation on a prob-tree — computing `JT K`
-//! (Definition 4), threshold and DTD restriction, structural and semantic
-//! equivalence, the Theorem 1 cross-check — ultimately enumerates
-//! valuations of the event variables. The naive baseline
+//! Computing `JT K` (Definition 4), threshold and DTD restriction, semantic
+//! equivalence and the Theorem 1 cross-check all enumerate valuations of
+//! the event variables. The Definition 4 baseline
 //! ([`crate::semantics::possible_worlds`]) walks all `2^{|W|}` valuations
 //! of the *declared* event table, so its cost is exponential in how many
 //! events were declared rather than in how many the tree actually *uses*.
@@ -12,36 +12,37 @@
 //!
 //! 1. **Relevant events.** It computes the union of the condition supports
 //!    over the tree. Flipping an event no condition mentions never changes
-//!    `V(T)`, so such events can be marginalized analytically (their true
-//!    and false branches sum to 1) and only `2^{|relevant|}` partial
-//!    valuations need to be materialized.
-//! 2. **Streaming normalization.** Instead of collecting one cloned world
-//!    per valuation and canonicalizing in a second pass, worlds are
-//!    streamed into an interned canonical-form accumulator
-//!    (`HashMap<canonical string, slot>`), so the *normalized* PW set is
-//!    produced directly with one retained tree per isomorphism class.
-//! 3. **Connected components & zero-probability pruning.** Relevant events
+//!    `V(T)`, so such events are marginalized analytically (their true and
+//!    false branches sum to 1) and never enumerated.
+//! 2. **Connected components & zero-probability pruning.** Relevant events
 //!    are partitioned into connected components induced by co-occurrence
-//!    in conditions, and enumeration proceeds component-major. Events with
-//!    `π(w) = 1` have a zero-probability false branch; in probability-
-//!    weighted enumeration they are pinned true, pruning the whole
-//!    component subtree of assignments below the dead branch. Components
-//!    are ordered by a total criterion (length, then event ids), so shard
-//!    iteration order is identical no matter in which order conditions
-//!    were inserted.
-//! 4. **Factorized per-component shards.** Because co-occurrence drives
+//!    in conditions. Events with `π(w) = 1` have a zero-probability false
+//!    branch; in probability-weighted enumeration they are pinned true.
+//!    Components are ordered by a total criterion (length, then event
+//!    ids), so shard order is identical no matter in which order
+//!    conditions were inserted.
+//! 3. **Factorized per-component shards.** Because co-occurrence drives
 //!    the partition, *every condition's support lies inside exactly one
-//!    component*. [`ShardExecutor`] exploits that: each component is
-//!    enumerated independently (`2^{|C_i|}` partial assignments, so
-//!    `Σ_c 2^{|C_i|}` enumeration states in total instead of
-//!    `2^{|relevant|}`) into a [`ComponentShard`] accumulator — partial
-//!    valuations of the component's events keyed by the truth signature
-//!    they give the component's conditions, each carrying the marginal
-//!    probability mass of its class. Independent components run on a
-//!    scoped thread pool (plain `std` threads) when
-//!    [`WorldEngineConfig::parallelism`] allows, with a sequential
-//!    fallback; shards are reassembled in component order either way, so
+//!    component*. [`WorldEngine::factorize`] enumerates each component
+//!    independently (`2^{|C_i|}` partial assignments, so `Σ_c 2^{|C_i|}`
+//!    states in total instead of `2^{|relevant|}`) into a
+//!    [`ComponentShard`]: partial valuations of the component's events
+//!    keyed by the truth signature they give the component's conditions,
+//!    each carrying the marginal probability mass of its class. Once the
+//!    predicted work reaches [`PARALLEL_SHARD_THRESHOLD`] states, the
+//!    components run on a scoped pool of `available_parallelism()`
+//!    threads; shards are reassembled in component order either way, so
 //!    the result is deterministic.
+//!
+//! ## One budget
+//!
+//! `max_events` is the only knob. [`WorldEngine::factorize`] refuses a
+//! component with more than `max_events` free events and a total shard
+//! workload above `2^{max_events}`; the joint combine
+//! ([`FactorizedWorlds::joint_valuations`]) refuses more than
+//! `2^{max_events}` joint classes. Everything a `2^{|relevant|}` guard
+//! would accept at the same budget is therefore accepted, and trees whose
+//! relevant events split into many small components go far beyond it.
 //!
 //! ## The shard-combine contract
 //!
@@ -54,22 +55,18 @@
 //!   per-component folds of an arbitrary conjunction — for independent
 //!   events this re-derives the `O(|literals|)` analytic product
 //!   [`Condition::probability`], so it serves as the decomposition's
-//!   cross-check and as the template for aggregates without a closed
-//!   form), and enumeration accounting
+//!   cross-check), and enumeration accounting
 //!   ([`FactorizedWorlds::states_enumerated`],
 //!   [`FactorizedWorlds::num_joint_assignments`]) is pure arithmetic over
 //!   shard sizes.
 //! * **Joint materialization is still forced** whenever the consumer needs
-//!   actual worlds or valuations rather than aggregates: the normalized PW
-//!   set (`JT K` has up to `Π_c` classes — the output itself is the cross
-//!   product), DTD satisfiability/validity sweeps (a DTD couples sibling
-//!   counts across components), and structural-equivalence/independence
-//!   checks (they compare worlds per valuation). For those,
-//!   [`FactorizedWorlds::joint_valuations`] lazily walks the cross product
-//!   of the *deduplicated* shard classes — often far fewer than
-//!   `2^{|relevant|}` states, guarded by
-//!   [`WorldEngineConfig::max_joint_worlds`] — and recombines
-//!   probabilities by product of the per-shard class masses.
+//!   actual worlds rather than aggregates: the normalized PW set (`JT K`
+//!   has up to `Π_c` classes — the output itself is the cross product) and
+//!   DTD satisfiability/validity sweeps (a DTD couples sibling counts
+//!   across components). For those, [`FactorizedWorlds::joint_valuations`]
+//!   lazily walks the cross product of the *deduplicated* shard classes
+//!   and recombines probabilities by product of the per-shard class
+//!   masses.
 //!
 //! Shard classes merge assignments that give every condition of *this
 //! engine's tree* the same truth values, so `FactorizedWorlds` is only
@@ -78,19 +75,16 @@
 //! distinguish valuations beyond the tree's own conditions — the
 //! [`WorldEngine::for_pair`] structural-equivalence setting, where the
 //! second tree's conditions also matter, and the event-independence probe
-//! — must keep using the exact enumerations
-//! ([`WorldEngine::all_valuations`]).
+//! — use the exact, unpruned [`WorldEngine::all_valuations`] instead.
 //!
-//! All engines are exact: their output is isomorphic (`∼`) to the
-//! normalized output of the full enumeration — a property-tested
-//! invariant asserting legacy `possible_worlds` ≡ the streamed engine ≡
-//! the factorized shard executor.
+//! The engine is exact: its output is isomorphic (`∼`) to the normalized
+//! output of the Definition 4 enumeration, a property-tested invariant.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use pxml_events::valuation::TooManyValuations;
-use pxml_events::{Condition, EventId, EventTable, Semiring, Valuation};
+use pxml_events::{Condition, EventId, Literal, Valuation};
 use pxml_tree::canon::{canonical_string, Semantics};
 use pxml_tree::DataTree;
 
@@ -118,16 +112,19 @@ impl<'a> WorldEngine<'a> {
     /// Builds the engine for one prob-tree: relevant events are the events
     /// mentioned by at least one node condition.
     pub fn new(tree: &'a ProbTree) -> Self {
-        Self::build(tree, tree.events().len(), std::iter::empty())
+        Self::build(tree, std::iter::empty())
     }
 
     /// Builds the engine with additional events forced into the relevant
     /// set (e.g. the event whose influence an independence check probes).
+    /// Events the tree does not declare are ignored: no world can depend
+    /// on them, and valuations only cover the declared table.
     pub fn with_extra_events<I: IntoIterator<Item = EventId>>(
         tree: &'a ProbTree,
         extra: I,
     ) -> Self {
-        Self::build(tree, tree.events().len(), extra)
+        let declared = tree.events().len();
+        Self::build(tree, extra.into_iter().filter(|e| e.index() < declared))
     }
 
     /// Builds the engine for a *pair* of prob-trees over the same declared
@@ -140,7 +137,8 @@ impl<'a> WorldEngine<'a> {
     /// Panics if the two trees do not declare the same event distribution
     /// (structural equivalence is only defined in that case — callers that
     /// cannot guarantee it should check
-    /// [`EventTable::same_distribution`] first and short-circuit).
+    /// [`EventTable::same_distribution`](pxml_events::EventTable::same_distribution)
+    /// first and short-circuit).
     pub fn for_pair(a: &'a ProbTree, b: &ProbTree) -> Self {
         assert!(
             a.events().same_distribution(b.events()),
@@ -152,14 +150,10 @@ impl<'a> WorldEngine<'a> {
             .into_iter()
             .flat_map(|c| c.events().collect::<Vec<_>>())
             .collect();
-        Self::build(a, a.events().len(), extra)
+        Self::build(a, extra)
     }
 
-    fn build<I: IntoIterator<Item = EventId>>(
-        tree: &'a ProbTree,
-        valuation_len: usize,
-        extra: I,
-    ) -> Self {
+    fn build<I: IntoIterator<Item = EventId>>(tree: &'a ProbTree, extra: I) -> Self {
         // Union-find over event indices, driven by co-occurrence inside a
         // single condition. `find` is iterative (chase then compress) so
         // that a long chain of pairwise co-occurring events cannot
@@ -219,7 +213,7 @@ impl<'a> WorldEngine<'a> {
 
         WorldEngine {
             tree,
-            valuation_len,
+            valuation_len: tree.events().len(),
             relevant,
             components,
         }
@@ -242,8 +236,8 @@ impl<'a> WorldEngine<'a> {
     }
 
     /// The connected components of the relevant events under co-occurrence
-    /// in a condition. Enumeration is component-major, and the partition is
-    /// the unit future per-component sharding operates on.
+    /// in a condition — the units [`WorldEngine::factorize`] enumerates
+    /// independently.
     pub fn components(&self) -> &[Vec<EventId>] {
         &self.components
     }
@@ -252,9 +246,9 @@ impl<'a> WorldEngine<'a> {
     /// per-component free-event counts (after π = 1 pinning when
     /// `weighted`) and the predicted workload `Σ_c 2^{|free_c|}` —
     /// computed with cheap arithmetic, without enumerating a single
-    /// world. [`ShardExecutor::run`] takes its guards from this plan, so
-    /// the prediction and the execution share one source of truth (the
-    /// plan's [`ShardPlan::predicted_states`] equals the executor's
+    /// world. [`WorldEngine::factorize`] takes its guards from this plan,
+    /// so the prediction and the execution share one source of truth (the
+    /// plan's [`ShardPlan::predicted_states`] equals
     /// [`FactorizedWorlds::states_enumerated`] exactly).
     pub fn shard_plan(&self, weighted: bool) -> ShardPlan {
         let events = self.tree.events();
@@ -271,116 +265,44 @@ impl<'a> WorldEngine<'a> {
         ShardPlan { free_sizes }
     }
 
-    /// Probability-weighted enumeration of the relevant partial valuations
-    /// (`JT K`-style semantics): yields `(valuation, p)` where `p` is the
-    /// marginal probability of the partial assignment. Zero-probability
-    /// branches are pruned — events with `π(w) = 1` are pinned true, so the
-    /// enumeration drops to `2^{|{w relevant : π(w) < 1}|}` states.
-    ///
-    /// Fails when the relevant set exceeds `max_events` (the same
-    /// exponential-work guard as the legacy full enumeration, now counting
-    /// only events that actually matter).
-    pub fn valuations(
-        &self,
-        max_events: usize,
-    ) -> Result<WeightedValuations<'_>, TooManyValuations> {
-        Ok(WeightedValuations {
-            inner: self.enumerate(max_events, true)?,
-        })
-    }
-
     /// Enumeration of **all** `2^{|relevant|}` relevant partial valuations,
     /// including zero-probability branches. Structural equivalence
     /// (Definition 9) and event independence quantify over every valuation
-    /// `V ⊆ W` regardless of probability, so they must not prune — and
-    /// they never read probabilities, so none are computed on this path.
+    /// `V ⊆ W` regardless of probability, and distinguish valuations the
+    /// tree's own conditions cannot, so they must neither prune nor merge
+    /// shard classes. No probabilities are computed on this path.
+    ///
+    /// Fails when the relevant set exceeds `max_events`.
     pub fn all_valuations(
         &self,
         max_events: usize,
-    ) -> Result<RelevantValuations<'_>, TooManyValuations> {
-        self.enumerate(max_events, false)
-    }
-
-    fn enumerate(
-        &self,
-        max_events: usize,
-        prune_zero_probability: bool,
-    ) -> Result<RelevantValuations<'_>, TooManyValuations> {
+    ) -> Result<RelevantValuations, TooManyValuations> {
         if self.relevant.len() > max_events {
             return Err(TooManyValuations {
                 num_events: self.relevant.len(),
                 max_events,
             });
         }
-        let events = self.tree.events();
-        let mut start = Valuation::empty(self.valuation_len);
-        // Component-major enumeration order; in weighted mode, pin π = 1
-        // events true instead of enumerating their dead false branch.
-        let mut free = Vec::with_capacity(self.relevant.len());
-        for component in &self.components {
-            for &e in component {
-                if prune_zero_probability && events.prob(e) >= 1.0 {
-                    start.set(e, true);
-                } else {
-                    free.push(e);
-                }
-            }
-        }
+        let free = self.components.iter().flatten().copied().collect();
         Ok(RelevantValuations {
-            events,
             free,
-            next: Some(start),
+            next: Some(Valuation::empty(self.valuation_len)),
         })
     }
 
-    /// The normalized possible-world semantics `JT K` of the tree,
-    /// accumulated directly: worlds are streamed into an interned
-    /// canonical-form accumulator, so exactly one tree per isomorphism
-    /// class is retained and no second normalization pass (or
-    /// clone-per-valuation buffer) is needed.
-    pub fn normalized_worlds(
-        &self,
-        max_events: usize,
-    ) -> Result<PossibleWorldSet, TooManyValuations> {
-        self.normalized_worlds_with(max_events, Semantics::MultiSet)
-    }
-
-    /// [`WorldEngine::normalized_worlds`] under an explicit data-tree
-    /// semantics (the Section 5 set-semantics variant uses
-    /// [`Semantics::Set`]).
-    pub fn normalized_worlds_with(
-        &self,
-        max_events: usize,
-        semantics: Semantics,
-    ) -> Result<PossibleWorldSet, TooManyValuations> {
-        let mut slots: HashMap<String, usize> = HashMap::new();
-        let mut worlds: Vec<(DataTree, f64)> = Vec::new();
-        for (valuation, p) in self.valuations(max_events)? {
-            let world = self.tree.value_in_world(&valuation);
-            match slots.entry(canonical_string(&world, semantics)) {
-                Entry::Occupied(slot) => worlds[*slot.get()].1 += p,
-                Entry::Vacant(slot) => {
-                    slot.insert(worlds.len());
-                    worlds.push((world, p));
-                }
-            }
-        }
-        Ok(PossibleWorldSet::from_worlds(worlds))
-    }
-
-    /// Probability-weighted enumeration of a *single* component's partial
-    /// valuations (all other events left false), in binary-counter order.
-    /// With `prune_zero_probability`, events with `π(w) = 1` are pinned
-    /// true exactly as in the joint enumeration.
+    /// Enumeration of a *single* component's partial valuations (all other
+    /// events left false), in binary-counter order. With
+    /// `prune_zero_probability`, events with `π(w) = 1` are pinned true
+    /// instead of enumerated.
     ///
     /// This is the raw, un-deduplicated per-component stream behind the
-    /// factorized shard accumulators — `2^{|C_i|}` states for component
-    /// `i` (fewer under pinning), independent of every other component.
+    /// shard accumulators — `2^{|C_i|}` states for component `i` (fewer
+    /// under pinning), independent of every other component.
     pub fn component_valuations(
         &self,
         component: usize,
         prune_zero_probability: bool,
-    ) -> RelevantValuations<'_> {
+    ) -> RelevantValuations {
         let events = self.tree.events();
         let mut start = Valuation::empty(self.valuation_len);
         let mut free = Vec::new();
@@ -392,55 +314,66 @@ impl<'a> WorldEngine<'a> {
             }
         }
         RelevantValuations {
-            events,
             free,
             next: Some(start),
         }
     }
 
-    /// Runs the factorized shard executor in probability-weighted mode:
-    /// every component is enumerated independently (`Σ_c 2^{|C_i|}` states,
-    /// `π(w) = 1` events pinned) into per-shard class accumulators. The
-    /// per-component guard refuses components larger than `max_events`
-    /// free events, and refuses when the *total* shard work
-    /// `Σ_c 2^{|free_c|}` exceeds `2^{max_events}` — the same enumeration
-    /// budget the joint guard grants, now spent per component.
-    pub fn sharded(
+    /// The factorized world enumeration: every component is enumerated
+    /// independently into a [`ComponentShard`] (`Σ_c 2^{|free_c|}` states)
+    /// and wrapped as [`FactorizedWorlds`].
+    ///
+    /// `weighted` selects the `JT K` semantics (`π(w) = 1` events pinned
+    /// true, zero-probability branches pruned) vs the unpruned ∀-world
+    /// sweep that brute-force DTD satisfiability and validity need.
+    ///
+    /// Guards: a single component with more than `max_events` free events
+    /// is refused, and so is a total shard workload `Σ_c 2^{|free_c|}`
+    /// above `2^{max_events}`. The same `max_events` caps the joint
+    /// combine of the returned value at `2^{max_events}` classes.
+    pub fn factorize(
         &self,
-        config: &WorldEngineConfig,
+        weighted: bool,
         max_events: usize,
     ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
-        ShardExecutor::new(config.clone()).run(self, true, max_events)
-    }
-
-    /// [`WorldEngine::sharded`] without zero-probability pruning: every
-    /// `2^{|C_i|}` component assignment is enumerated, including the dead
-    /// `π(w) = 1` false branches. This is the shard substrate for sweeps
-    /// that quantify over *worlds* regardless of probability (brute-force
-    /// DTD satisfiability and validity).
-    pub fn sharded_all(
-        &self,
-        config: &WorldEngineConfig,
-        max_events: usize,
-    ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
-        ShardExecutor::new(config.clone()).run(self, false, max_events)
+        // The static shard plan supplies the guards and the parallelism
+        // decision — cheap arithmetic, no enumeration.
+        let plan = self.shard_plan(weighted);
+        plan.check_budget(max_events)?;
+        let conditions = conditions_by_component(self);
+        let workers = if plan.predicted_states() >= PARALLEL_SHARD_THRESHOLD {
+            std::thread::available_parallelism()
+                .map_or(1, std::num::NonZero::get)
+                .min(self.components.len())
+        } else {
+            1
+        };
+        let shards = if workers > 1 {
+            run_parallel(self, &conditions, weighted, workers)
+        } else {
+            run_sequential(self, &conditions, weighted)
+        };
+        Ok(FactorizedWorlds {
+            engine: self.clone(),
+            shards,
+            weighted,
+            max_events,
+        })
     }
 }
 
-/// Iterator over the relevant partial valuations of a [`WorldEngine`], in
+/// Iterator over relevant partial valuations of a [`WorldEngine`], in
 /// binary-counter order over the free events (component-major). Yields
 /// full-length valuations — every declared event has a defined bit, so
 /// [`ProbTree::value_in_world`] applies unchanged. No probabilities are
-/// computed; the ∀-quantified consumers (equivalence, independence,
-/// brute-force DTD checks) never need them.
+/// computed.
 #[derive(Debug)]
-pub struct RelevantValuations<'e> {
-    events: &'e EventTable,
+pub struct RelevantValuations {
     free: Vec<EventId>,
     next: Option<Valuation>,
 }
 
-impl Iterator for RelevantValuations<'_> {
+impl Iterator for RelevantValuations {
     type Item = Valuation;
 
     fn next(&mut self) -> Option<Valuation> {
@@ -465,110 +398,10 @@ impl Iterator for RelevantValuations<'_> {
     }
 }
 
-/// [`RelevantValuations`] paired with the marginal probability of each
-/// relevant partial assignment — the probability-weighted, zero-branch-
-/// pruned enumeration behind [`WorldEngine::valuations`].
-#[derive(Debug)]
-pub struct WeightedValuations<'e> {
-    inner: RelevantValuations<'e>,
-}
-
-impl Iterator for WeightedValuations<'_> {
-    type Item = (Valuation, f64);
-
-    fn next(&mut self) -> Option<(Valuation, f64)> {
-        let valuation = self.inner.next()?;
-        let p = valuation.probability_over(self.inner.events, self.inner.free.iter().copied());
-        Some((valuation, p))
-    }
-}
-
-/// Configuration of the factorized shard executor: how many threads may
-/// enumerate components concurrently, and how large a joint cross product
-/// a shard-combining consumer may materialize.
-///
-/// The environment can override both knobs (`PXML_WORLDS_PARALLELISM`,
-/// `PXML_WORLDS_MAX_JOINT`) via [`WorldEngineConfig::from_env`], which the
-/// production call sites ([`crate::semantics::possible_worlds_normalized`]
-/// and the DTD sweeps) use.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorldEngineConfig {
-    /// Maximum number of worker threads enumerating components
-    /// concurrently; `0` or `1` means fully sequential on the caller's
-    /// thread. Small shard sets stay sequential regardless — the executor
-    /// only spawns when the predicted work crosses
-    /// [`PARALLEL_SHARD_THRESHOLD`] states.
-    pub parallelism: usize,
-    /// Cap on the number of joint assignments (the product of the shard
-    /// class counts) that [`FactorizedWorlds::joint_valuations`] and the
-    /// consumers built on it may walk.
-    pub max_joint_worlds: u128,
-}
-
 /// Minimum predicted shard work (total `Σ_c 2^{|free_c|}` states) before
-/// the executor spawns worker threads; below it, thread setup costs more
-/// than the enumeration itself.
+/// [`WorldEngine::factorize`] spawns worker threads; below it, thread
+/// setup costs more than the enumeration itself.
 pub const PARALLEL_SHARD_THRESHOLD: u128 = 4096;
-
-impl Default for WorldEngineConfig {
-    fn default() -> Self {
-        WorldEngineConfig {
-            parallelism: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-            max_joint_worlds: 1 << 24,
-        }
-    }
-}
-
-impl WorldEngineConfig {
-    /// A fully sequential configuration with the default joint cap.
-    pub fn sequential() -> Self {
-        WorldEngineConfig {
-            parallelism: 1,
-            ..WorldEngineConfig::default()
-        }
-    }
-
-    /// The default configuration with environment overrides applied:
-    /// `PXML_WORLDS_PARALLELISM` (worker-thread cap, `1` disables the
-    /// thread pool) and `PXML_WORLDS_MAX_JOINT` (joint cross-product cap).
-    /// Unparsable or missing values fall back to the defaults.
-    pub fn from_env() -> Self {
-        Self::apply_env(WorldEngineConfig::default())
-    }
-
-    /// The environment-aware configuration for consumers whose public
-    /// contract is an event-count guard (`max_events`): the joint cap
-    /// defaults to exactly `2^{max_events}` — the enumeration budget the
-    /// caller already granted, so every input the streamed `2^{|relevant|}`
-    /// guard accepted stays accepted — while `PXML_WORLDS_PARALLELISM` and
-    /// an explicitly set `PXML_WORLDS_MAX_JOINT` still override their
-    /// knobs.
-    pub fn for_event_budget(max_events: usize) -> Self {
-        Self::apply_env(WorldEngineConfig {
-            max_joint_worlds: pow2_saturating(max_events),
-            ..WorldEngineConfig::default()
-        })
-    }
-
-    fn apply_env(mut config: WorldEngineConfig) -> Self {
-        use crate::config::env;
-        if let Some(parallelism) = env::parse_lenient(env::WORLDS_PARALLELISM) {
-            config.parallelism = parallelism;
-        }
-        if let Some(max_joint) = env::parse_lenient(env::WORLDS_MAX_JOINT) {
-            config.max_joint_worlds = max_joint;
-        }
-        config
-    }
-
-    /// Caps `max_joint_worlds` at `2^bits` — used by consumers whose
-    /// public contract is an event-count guard (`max_events`), so the
-    /// joint combine never exceeds the work the caller budgeted for.
-    pub fn with_joint_cap_bits(mut self, bits: usize) -> Self {
-        self.max_joint_worlds = self.max_joint_worlds.min(pow2_saturating(bits));
-        self
-    }
-}
 
 /// `2^bits` as a `u128`, saturating instead of overflowing.
 fn pow2_saturating(bits: usize) -> u128 {
@@ -581,37 +414,30 @@ fn pow2_saturating(bits: usize) -> u128 {
 
 /// One deduplicated partial assignment of a component's events: the
 /// representative valuation (restricted to the component, every other
-/// event false), the total semiring mass of its class, and how many raw
+/// event false), the total probability mass of its class, and how many raw
 /// assignments the class merged.
 ///
 /// Classes are keyed by the truth signature the assignment gives the
 /// component's conditions — two assignments that satisfy exactly the same
 /// conditions produce the same world contribution, so only their mass
 /// matters downstream.
-///
-/// The mass type defaults to `f64` — the probability-semiring
-/// instantiation every pre-semiring consumer was written against; a
-/// generic run ([`ShardExecutor::run_in`]) accumulates whatever
-/// `S::Value` its semiring produces.
 #[derive(Clone, Debug)]
-pub struct ShardAssignment<V = f64> {
+pub struct ShardAssignment {
     /// Representative valuation of the class (the first one enumerated, in
     /// binary-counter order over the component's free events).
     pub valuation: Valuation,
-    /// Total marginal semiring mass of the class under the component's
-    /// events (under the probability semiring, masses of one shard sum
-    /// to 1).
-    pub probability: V,
+    /// Total marginal probability of the class under the component's
+    /// events (the masses of one shard sum to 1).
+    pub probability: f64,
     /// Number of raw component assignments merged into this class.
     pub merged: u64,
 }
 
-/// The per-component accumulator produced by the [`ShardExecutor`]: the
+/// The per-component accumulator of [`WorldEngine::factorize`]: the
 /// component's events, its deduplicated assignment classes, and the raw
-/// enumeration count (`2^{|free|}`) that produced them. Generic over the
-/// class-mass type like [`ShardAssignment`] (default `f64`).
+/// enumeration count (`2^{|free|}`) that produced them.
 #[derive(Clone, Debug)]
-pub struct ComponentShard<V = f64> {
+pub struct ComponentShard {
     /// The component's events, sorted by id.
     pub events: Vec<EventId>,
     /// Events actually enumerated (`π(w) = 1` events are pinned true in
@@ -619,42 +445,18 @@ pub struct ComponentShard<V = f64> {
     pub free: Vec<EventId>,
     /// Deduplicated assignment classes, in first-seen (binary-counter)
     /// order.
-    pub assignments: Vec<ShardAssignment<V>>,
+    pub assignments: Vec<ShardAssignment>,
     /// Raw assignments enumerated to build this shard: exactly
     /// `2^{|free|}`.
     pub states_enumerated: u64,
 }
 
-/// Error returned when combining shards would walk a joint cross product
-/// larger than [`WorldEngineConfig::max_joint_worlds`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JointTooLarge {
-    /// Number of joint assignments the combine would have to walk (the
-    /// product of the shard class counts).
-    pub joint_assignments: u128,
-    /// The configured cap.
-    pub max_joint_worlds: u128,
-}
-
-impl std::fmt::Display for JointTooLarge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "combining shards would materialize {} joint assignments, \
-             exceeding the configured cap of {}",
-            self.joint_assignments, self.max_joint_worlds
-        )
-    }
-}
-
-impl std::error::Error for JointTooLarge {}
-
 /// The static plan of a factorized world enumeration, produced by
 /// [`WorldEngine::shard_plan`]: per-component free-event counts and the
 /// predicted raw workload, all from arithmetic on the co-occurrence
 /// partition — no possible world is touched. The `pxml_analysis` census
-/// wraps this plan, and [`ShardExecutor::run`] derives its budget guards
-/// from it.
+/// wraps this plan, and [`WorldEngine::factorize`] derives its budget
+/// guards from it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Free (actually enumerated) events per component, in the engine's
@@ -687,17 +489,16 @@ impl ShardPlan {
 
     /// Predicted raw enumeration workload `Σ_c 2^{|free_c|}` (saturating)
     /// — exactly the [`FactorizedWorlds::states_enumerated`] counter the
-    /// executor will report.
+    /// enumeration will report.
     pub fn predicted_states(&self) -> u128 {
         self.free_sizes
             .iter()
             .fold(0u128, |acc, &f| acc.saturating_add(pow2_saturating(f)))
     }
 
-    /// The executor's tractability verdict: a single component with more
-    /// than `max_events` free events is refused, and so is a total
-    /// workload above `2^{max_events}` — the factorized path never does
-    /// more enumeration than the caller budgeted for the joint path.
+    /// The tractability verdict of [`WorldEngine::factorize`]: a single
+    /// component with more than `max_events` free events is refused, and
+    /// so is a total workload above `2^{max_events}`.
     pub fn check_budget(&self, max_events: usize) -> Result<(), TooManyValuations> {
         let largest = self.largest_free_component();
         if largest > max_events {
@@ -716,109 +517,13 @@ impl ShardPlan {
     }
 }
 
-/// Runs the per-component shard enumeration, on a scoped thread pool when
-/// the configuration allows and the predicted work justifies it, and
-/// reassembles the shards in component order (so the output is
-/// deterministic regardless of scheduling).
-#[derive(Clone, Debug)]
-pub struct ShardExecutor {
-    config: WorldEngineConfig,
-}
-
-impl ShardExecutor {
-    /// Creates an executor with the given configuration.
-    pub fn new(config: WorldEngineConfig) -> Self {
-        ShardExecutor { config }
-    }
-
-    /// The executor's configuration.
-    pub fn config(&self) -> &WorldEngineConfig {
-        &self.config
-    }
-
-    /// Enumerates every component of `engine` into a [`ComponentShard`]
-    /// and wraps the result as [`FactorizedWorlds`]. `weighted` selects
-    /// zero-probability pruning (the `JT K` semantics) vs the unpruned
-    /// ∀-world sweep.
-    ///
-    /// Guards: a single component with more than `max_events` free events
-    /// is refused, and so is a total shard workload `Σ_c 2^{|free_c|}`
-    /// above `2^{max_events}` — the factorized path never does more
-    /// enumeration than the caller budgeted for the joint path.
-    pub fn run<'a>(
-        &self,
-        engine: &WorldEngine<'a>,
-        weighted: bool,
-        max_events: usize,
-    ) -> Result<FactorizedWorlds<'a>, TooManyValuations> {
-        // The static shard plan supplies the guards and the parallelism
-        // decision — cheap arithmetic, no enumeration.
-        let plan = engine.shard_plan(weighted);
-        plan.check_budget(max_events)?;
-        let total_states = plan.predicted_states();
-
-        let num_components = engine.components.len();
-        let conditions = conditions_by_component(engine);
-        let workers = self.config.parallelism.min(num_components);
-        let shards = if workers > 1 && total_states >= PARALLEL_SHARD_THRESHOLD {
-            run_parallel(engine, &conditions, weighted, workers)
-        } else {
-            (0..num_components)
-                .map(|i| enumerate_component(engine, i, &conditions[i], weighted))
-                .collect()
-        };
-        Ok(FactorizedWorlds {
-            engine: engine.clone(),
-            shards,
-            weighted,
-            max_joint_worlds: self.config.max_joint_worlds,
-        })
-    }
-
-    /// [`ShardExecutor::run`] generalized over a [`Semiring`]: every class
-    /// accumulates `S::Value` mass instead of `f64` probability. The same
-    /// budget guards apply; the generic path enumerates sequentially (the
-    /// probability fast path keeps the parallel executor to itself).
-    ///
-    /// `weighted` pins `π(w) = 1` events exactly as in the probability
-    /// run; semirings that weigh unmentioned events (e.g. `Counting`)
-    /// usually want `weighted = false` so every component event is
-    /// enumerated.
-    pub fn run_in<'a, S: Semiring>(
-        &self,
-        engine: &WorldEngine<'a>,
-        semiring: &S,
-        weighted: bool,
-        max_events: usize,
-    ) -> Result<FactorizedWorlds<'a, S::Value>, TooManyValuations> {
-        let plan = engine.shard_plan(weighted);
-        plan.check_budget(max_events)?;
-        let conditions = conditions_by_component(engine);
-        let shards = (0..engine.components.len())
-            .map(|i| enumerate_component_in(engine, i, &conditions[i], weighted, semiring))
-            .collect();
-        Ok(FactorizedWorlds {
-            engine: engine.clone(),
-            shards,
-            weighted,
-            max_joint_worlds: self.config.max_joint_worlds,
-        })
-    }
-}
-
 /// Groups the tree's distinct non-empty conditions by the component their
 /// support lives in. Co-occurrence within a condition is exactly what the
 /// union-find merged, so a condition's events never straddle components.
 fn conditions_by_component(engine: &WorldEngine<'_>) -> Vec<Vec<Condition>> {
-    let mut component_of: HashMap<EventId, usize> = HashMap::new();
-    for (i, component) in engine.components.iter().enumerate() {
-        for &e in component {
-            component_of.insert(e, i);
-        }
-    }
+    let component_of = component_index(&engine.components);
     let mut out: Vec<Vec<Condition>> = vec![Vec::new(); engine.components.len()];
-    let mut seen: std::collections::HashSet<Vec<pxml_events::Literal>> =
-        std::collections::HashSet::new();
+    let mut seen: HashSet<Vec<Literal>> = HashSet::new();
     // `all_conditions` covers both arena nodes and shared (stored) children,
     // so factorization sees every constraint without materializing handles.
     for condition in engine.tree.all_conditions() {
@@ -837,47 +542,32 @@ fn conditions_by_component(engine: &WorldEngine<'_>) -> Vec<Vec<Condition>> {
     out
 }
 
+/// Maps every event of `components` to the index of its component.
+fn component_index(components: &[Vec<EventId>]) -> HashMap<EventId, usize> {
+    components
+        .iter()
+        .enumerate()
+        .flat_map(|(i, component)| component.iter().map(move |&e| (e, i)))
+        .collect()
+}
+
 /// Enumerates one component's `2^{|free|}` partial assignments and folds
-/// them into signature-keyed classes. The probability-semiring
-/// instantiation of [`enumerate_component_in`] — the parallel executor's
-/// worker, kept monomorphic so the fast path's codegen (and its
-/// bit-exact accumulation order) is pinned.
+/// them into signature-keyed classes, summing each class's probability in
+/// binary-counter enumeration order.
 fn enumerate_component(
     engine: &WorldEngine<'_>,
     component: usize,
     conditions: &[Condition],
     weighted: bool,
 ) -> ComponentShard {
-    enumerate_component_in(
-        engine,
-        component,
-        conditions,
-        weighted,
-        &pxml_events::Probability,
-    )
-}
-
-/// [`enumerate_component`] over an arbitrary [`Semiring`]: each class
-/// accumulates the `add`-fold of its raw assignments'
-/// [`Valuation::weight_over_in`] masses, in binary-counter enumeration
-/// order (under the probability semiring this is exactly the historical
-/// `class.probability += probability`).
-fn enumerate_component_in<S: Semiring>(
-    engine: &WorldEngine<'_>,
-    component: usize,
-    conditions: &[Condition],
-    weighted: bool,
-    semiring: &S,
-) -> ComponentShard<S::Value> {
     let events = engine.tree.events();
     let component_events = engine.components[component].clone();
     let mut classes: HashMap<Vec<u64>, usize> = HashMap::new();
-    let mut assignments: Vec<ShardAssignment<S::Value>> = Vec::new();
+    let mut assignments: Vec<ShardAssignment> = Vec::new();
     let mut states = 0u64;
     for valuation in engine.component_valuations(component, weighted) {
         states += 1;
-        let probability =
-            valuation.weight_over_in(semiring, events, component_events.iter().copied());
+        let probability = valuation.probability_over(events, component_events.iter().copied());
         let mut signature = vec![0u64; conditions.len().div_ceil(64)];
         for (i, condition) in conditions.iter().enumerate() {
             if condition.eval(&valuation) {
@@ -887,7 +577,7 @@ fn enumerate_component_in<S: Semiring>(
         match classes.entry(signature) {
             Entry::Occupied(slot) => {
                 let class = &mut assignments[*slot.get()];
-                class.probability = semiring.add(class.probability.clone(), probability);
+                class.probability += probability;
                 class.merged += 1;
             }
             Entry::Vacant(slot) => {
@@ -911,6 +601,18 @@ fn enumerate_component_in<S: Semiring>(
         assignments,
         states_enumerated: states,
     }
+}
+
+/// Sequential shard enumeration on the caller's thread, in component
+/// order.
+fn run_sequential(
+    engine: &WorldEngine<'_>,
+    conditions: &[Vec<Condition>],
+    weighted: bool,
+) -> Vec<ComponentShard> {
+    (0..engine.components.len())
+        .map(|i| enumerate_component(engine, i, &conditions[i], weighted))
+        .collect()
 }
 
 /// Work-stealing parallel shard enumeration over `std::thread::scope`:
@@ -960,23 +662,19 @@ fn run_parallel(
 /// [`ComponentShard`] per co-occurrence component, combinable by product
 /// only where a consumer genuinely needs joint worlds (see the
 /// *shard-combine contract* in the module docs).
-///
-/// Generic over the shard class-mass type `V` (default `f64`, the
-/// probability semiring): [`ShardExecutor::run`] produces the classic
-/// `FactorizedWorlds<'a>` with the full joint/normalization API, while
-/// [`ShardExecutor::run_in`] produces a `FactorizedWorlds<'a, S::Value>`
-/// whose shard-local folds carry arbitrary semiring values.
 #[derive(Clone, Debug)]
-pub struct FactorizedWorlds<'a, V = f64> {
+pub struct FactorizedWorlds<'a> {
     engine: WorldEngine<'a>,
-    shards: Vec<ComponentShard<V>>,
+    shards: Vec<ComponentShard>,
     weighted: bool,
-    max_joint_worlds: u128,
+    /// The event budget the shards were enumerated under; it also caps
+    /// the joint combine at `2^{max_events}` classes.
+    max_events: usize,
 }
 
-impl<'a, V> FactorizedWorlds<'a, V> {
+impl<'a> FactorizedWorlds<'a> {
     /// The per-component shards, in the engine's (total) component order.
-    pub fn shards(&self) -> &[ComponentShard<V>] {
+    pub fn shards(&self) -> &[ComponentShard] {
         &self.shards
     }
 
@@ -1000,113 +698,61 @@ impl<'a, V> FactorizedWorlds<'a, V> {
         })
     }
 
-    /// Semiring value of an arbitrary conjunction of literals, computed as
-    /// a `mul` of per-component `add`-folds over the raw shard
-    /// enumerations — the generic form of
-    /// [`FactorizedWorlds::condition_probability`] (which is its
-    /// probability-semiring instantiation). Involved components are folded
-    /// in component order; literals over events outside every component
-    /// multiply in directly; an event constrained by both polarities
-    /// yields the semiring's zero. When the semiring weighs unmentioned
-    /// events ([`Semiring::constrains_unmentioned`], e.g. `Counting`),
-    /// every table event not covered by an involved component or an
-    /// out-of-component literal contributes its [`Semiring::unmentioned`]
-    /// factor, so the fold ranges over the full event universe.
-    pub fn condition_value_in<S: Semiring<Value = V>>(
-        &self,
-        semiring: &S,
-        condition: &Condition,
-    ) -> V {
-        let events = self.engine.tree.events();
-        let mut component_of: HashMap<EventId, usize> = HashMap::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            for &e in &shard.events {
-                component_of.insert(e, i);
-            }
-        }
-        // Group the literals by component (detecting contradictions on the
-        // way); iterate involved components in sorted order so generic
-        // accumulation is deterministic.
-        let mut per_component: std::collections::BTreeMap<usize, Vec<pxml_events::Literal>> =
-            std::collections::BTreeMap::new();
-        let mut polarity: HashMap<EventId, bool> = HashMap::new();
-        let mut acc = semiring.one();
-        for &literal in condition.literals() {
-            if let Some(&prev) = polarity.get(&literal.event) {
-                if prev != literal.positive {
-                    return semiring.zero(); // w ∧ ¬w
-                }
-                continue; // duplicate literal
-            }
-            polarity.insert(literal.event, literal.positive);
-            match component_of.get(&literal.event) {
-                Some(&component) => per_component.entry(component).or_default().push(literal),
-                None => acc = semiring.mul(acc, semiring.literal(literal, events)),
-            }
-        }
-        for (&component, literals) in &per_component {
-            let component_events = &self.shards[component].events;
-            let mut fold = semiring.zero();
-            for v in self
-                .engine
-                .component_valuations(component, self.weighted)
-                .filter(|v| literals.iter().all(|l| l.eval(v)))
-            {
-                fold = semiring.add(
-                    fold,
-                    v.weight_over_in(semiring, events, component_events.iter().copied()),
-                );
-            }
-            acc = semiring.mul(acc, fold);
-        }
-        if semiring.constrains_unmentioned() {
-            for e in events.iter() {
-                let in_involved_component = component_of
-                    .get(&e)
-                    .is_some_and(|c| per_component.contains_key(c));
-                if !in_involved_component && !polarity.contains_key(&e) {
-                    acc = semiring.mul(acc, semiring.unmentioned(e, events));
-                }
-            }
-        }
-        acc
-    }
-}
-
-impl<'a> FactorizedWorlds<'a> {
     /// Probability of an arbitrary conjunction of literals over the
     /// engine's event table, computed as a product of per-component folds
     /// over the raw shard enumerations — the cross product is never
-    /// materialized. Literals over events outside every component (events
-    /// no tree condition mentions) are folded analytically; an event
-    /// constrained by both polarities yields 0.
+    /// materialized. Involved components are folded in component order;
+    /// literals over events outside every component (events no tree
+    /// condition mentions) are folded analytically; an event constrained
+    /// by both polarities yields 0.
     ///
     /// This is the *independent cross-check* of the shard decomposition:
     /// because events are mutually independent, the production path for a
     /// conjunction's probability is the `O(|literals|)` analytic product
     /// [`Condition::probability`], and the property suite asserts this
     /// exhaustive per-component marginalization (`Σ_c 2^{|C_i|}` work over
-    /// the involved components) always re-derives the same value. Use the
-    /// analytic product in hot paths; use this fold to validate shard
-    /// plumbing or as the template for per-component aggregates that have
-    /// no analytic closed form.
+    /// the involved components) always re-derives the same value.
     ///
-    /// Only meaningful on weighted shards ([`WorldEngine::sharded`]).
+    /// Only meaningful on weighted shards.
     pub fn condition_probability(&self, condition: &Condition) -> f64 {
-        self.condition_value_in(&pxml_events::Probability, condition)
+        let events = self.engine.tree.events();
+        let component_of = component_index(&self.engine.components);
+        let mut per_component: BTreeMap<usize, Vec<Literal>> = BTreeMap::new();
+        let mut polarity: HashMap<EventId, bool> = HashMap::new();
+        let mut acc = 1.0;
+        for &literal in condition.literals() {
+            match polarity.insert(literal.event, literal.positive) {
+                Some(prev) if prev != literal.positive => return 0.0, // w ∧ ¬w
+                Some(_) => continue,                                  // duplicate literal
+                None => {}
+            }
+            match component_of.get(&literal.event) {
+                Some(&component) => per_component.entry(component).or_default().push(literal),
+                None => acc *= literal.prob(events),
+            }
+        }
+        for (&component, literals) in &per_component {
+            let component_events = &self.shards[component].events;
+            let fold: f64 = self
+                .engine
+                .component_valuations(component, self.weighted)
+                .filter(|v| literals.iter().all(|l| l.eval(v)))
+                .map(|v| v.probability_over(events, component_events.iter().copied()))
+                .sum();
+            acc *= fold;
+        }
+        acc
     }
 
     /// Lazily walks the cross product of the shard classes, yielding the
     /// joint representative valuation (the union of the per-component
-    /// representatives) with the product of the class masses. Refuses when
-    /// the product of the class counts exceeds the configured
-    /// [`WorldEngineConfig::max_joint_worlds`].
-    pub fn joint_valuations(&self) -> Result<JointValuations<'_>, JointTooLarge> {
-        let joint = self.num_joint_assignments();
-        if joint > self.max_joint_worlds {
-            return Err(JointTooLarge {
-                joint_assignments: joint,
-                max_joint_worlds: self.max_joint_worlds,
+    /// representatives) with the product of the class masses. Refuses
+    /// when the product of the class counts exceeds `2^{max_events}`.
+    pub fn joint_valuations(&self) -> Result<JointValuations<'_>, TooManyValuations> {
+        if self.num_joint_assignments() > pow2_saturating(self.max_events) {
+            return Err(TooManyValuations {
+                num_events: self.num_free_events(),
+                max_events: self.max_events,
             });
         }
         Ok(JointValuations {
@@ -1118,21 +764,18 @@ impl<'a> FactorizedWorlds<'a> {
     }
 
     /// The normalized possible-world semantics `JT K` assembled from the
-    /// shards: the joint classes are streamed into the same interned
-    /// canonical-form accumulator as [`WorldEngine::normalized_worlds`],
-    /// but each joint state carries a whole class of valuations (its
-    /// probability is the product of class masses), so the walk visits
-    /// `Π_c |classes_c|` states — never more, and usually far fewer, than
-    /// the `2^{|free|}` of the streamed engine.
-    pub fn normalized_worlds_with(
-        &self,
-        semantics: Semantics,
-    ) -> Result<PossibleWorldSet, JointTooLarge> {
+    /// shards: the joint classes are streamed into an interned
+    /// canonical-form accumulator (one retained tree per isomorphism
+    /// class), and each joint state carries a whole class of valuations
+    /// (its probability is the product of class masses), so the walk
+    /// visits `Π_c |classes_c|` states — never more, and usually far
+    /// fewer, than `2^{|free|}`.
+    pub fn normalized_worlds(&self) -> Result<PossibleWorldSet, TooManyValuations> {
         let mut slots: HashMap<String, usize> = HashMap::new();
         let mut worlds: Vec<(DataTree, f64)> = Vec::new();
         for (valuation, p) in self.joint_valuations()? {
             let world = self.engine.tree.value_in_world(&valuation);
-            match slots.entry(canonical_string(&world, semantics)) {
+            match slots.entry(canonical_string(&world, Semantics::MultiSet)) {
                 Entry::Occupied(slot) => worlds[*slot.get()].1 += p,
                 Entry::Vacant(slot) => {
                     slot.insert(worlds.len());
@@ -1141,88 +784,6 @@ impl<'a> FactorizedWorlds<'a> {
             }
         }
         Ok(PossibleWorldSet::from_worlds(worlds))
-    }
-
-    /// [`FactorizedWorlds::normalized_worlds_with`] under the paper's
-    /// default multiset semantics.
-    pub fn normalized_worlds(&self) -> Result<PossibleWorldSet, JointTooLarge> {
-        self.normalized_worlds_with(Semantics::MultiSet)
-    }
-
-    /// Consumes the factorized computation into an *owning* joint walk —
-    /// the same lazy odometer as [`FactorizedWorlds::joint_valuations`],
-    /// for callers that need to return the iterator (e.g. the DTD
-    /// brute-force sweeps) rather than borrow the shards.
-    pub fn into_joint_valuations(self) -> Result<IntoJointValuations, JointTooLarge> {
-        let joint = self.num_joint_assignments();
-        if joint > self.max_joint_worlds {
-            return Err(JointTooLarge {
-                joint_assignments: joint,
-                max_joint_worlds: self.max_joint_worlds,
-            });
-        }
-        let indices = vec![0; self.shards.len()];
-        Ok(IntoJointValuations {
-            valuation_len: self.engine.valuation_len,
-            shards: self.shards,
-            indices,
-            done: false,
-        })
-    }
-}
-
-/// Steps the joint odometer once: assembles the current representative
-/// joint valuation (union of the selected per-shard classes) with the
-/// product of the class masses, then advances least-significant shard
-/// first.
-fn joint_step(
-    shards: &[ComponentShard],
-    valuation_len: usize,
-    indices: &mut [usize],
-    done: &mut bool,
-) -> Option<(Valuation, f64)> {
-    if *done {
-        return None;
-    }
-    let mut valuation = Valuation::empty(valuation_len);
-    let mut probability = 1.0;
-    for (shard, &i) in shards.iter().zip(indices.iter()) {
-        let class = &shard.assignments[i];
-        valuation.union_with(&class.valuation);
-        probability *= class.probability;
-    }
-    *done = true;
-    for (shard, index) in shards.iter().zip(indices.iter_mut()) {
-        *index += 1;
-        if *index < shard.assignments.len() {
-            *done = false;
-            break;
-        }
-        *index = 0;
-    }
-    Some((valuation, probability))
-}
-
-/// Owning variant of [`JointValuations`], produced by
-/// [`FactorizedWorlds::into_joint_valuations`].
-#[derive(Debug)]
-pub struct IntoJointValuations {
-    shards: Vec<ComponentShard>,
-    valuation_len: usize,
-    indices: Vec<usize>,
-    done: bool,
-}
-
-impl Iterator for IntoJointValuations {
-    type Item = (Valuation, f64);
-
-    fn next(&mut self) -> Option<(Valuation, f64)> {
-        joint_step(
-            &self.shards,
-            self.valuation_len,
-            &mut self.indices,
-            &mut self.done,
-        )
     }
 }
 
@@ -1242,12 +803,27 @@ impl Iterator for JointValuations<'_> {
     type Item = (Valuation, f64);
 
     fn next(&mut self) -> Option<(Valuation, f64)> {
-        joint_step(
-            self.shards,
-            self.valuation_len,
-            &mut self.indices,
-            &mut self.done,
-        )
+        if self.done {
+            return None;
+        }
+        let mut valuation = Valuation::empty(self.valuation_len);
+        let mut probability = 1.0;
+        for (shard, &i) in self.shards.iter().zip(&self.indices) {
+            let class = &shard.assignments[i];
+            valuation.union_with(&class.valuation);
+            probability *= class.probability;
+        }
+        // Advance least-significant shard first.
+        self.done = true;
+        for (shard, index) in self.shards.iter().zip(self.indices.iter_mut()) {
+            *index += 1;
+            if *index < shard.assignments.len() {
+                self.done = false;
+                break;
+            }
+            *index = 0;
+        }
+        Some((valuation, probability))
     }
 }
 
@@ -1255,15 +831,27 @@ impl Iterator for JointValuations<'_> {
 mod tests {
     use super::*;
     use crate::probtree::figure1_example;
-    use crate::semantics::possible_worlds;
+    use crate::semantics::{possible_worlds, possible_worlds_normalized};
     use pxml_events::{prob_eq, Condition, Literal};
+
+    /// A root with one child per event `i < mentioned`, guarded by that
+    /// event alone, over a table declaring `declared` events of π = 0.5.
+    fn singleton_children(declared: usize, mentioned: usize) -> ProbTree {
+        let mut t = ProbTree::new("A");
+        let root = t.tree().root();
+        let events: Vec<_> = (0..declared).map(|_| t.events_mut().fresh(0.5)).collect();
+        for (i, &w) in events.iter().take(mentioned).enumerate() {
+            t.add_child(root, format!("C{i}"), Condition::of(Literal::pos(w)));
+        }
+        t
+    }
 
     #[test]
     fn figure1_engine_matches_legacy_normalization() {
         let t = figure1_example();
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.num_relevant(), 2);
-        let fast = engine.normalized_worlds(20).unwrap();
+        let fast = possible_worlds_normalized(&t, 20).unwrap();
         let legacy = possible_worlds(&t, 20).unwrap().normalized();
         assert_eq!(fast.len(), 3);
         assert!(fast.isomorphic(&legacy));
@@ -1272,20 +860,9 @@ mod tests {
 
     #[test]
     fn unused_events_are_marginalized_not_enumerated() {
-        // 40 declared events, 10 mentioned: the legacy path refuses at the
-        // default 2^24 guard, the engine answers instantly.
-        let mut t = ProbTree::new("A");
-        let root = t.tree().root();
-        let mut mentioned = Vec::new();
-        for i in 0..40 {
-            let w = t.events_mut().fresh(0.5);
-            if i < 10 {
-                mentioned.push(w);
-            }
-        }
-        for (i, &w) in mentioned.iter().enumerate() {
-            t.add_child(root, format!("C{i}"), Condition::of(Literal::pos(w)));
-        }
+        // 40 declared events, 10 mentioned: the legacy path refuses at a
+        // 2^24 guard, the engine answers with 10 two-state shards.
+        let t = singleton_children(40, 10);
         assert!(
             possible_worlds(&t, 24).is_err(),
             "legacy path must refuse 2^40"
@@ -1294,9 +871,16 @@ mod tests {
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.num_relevant(), 10);
         assert_eq!(engine.components().len(), 10, "one singleton per child");
-        let pw = engine.normalized_worlds(24).unwrap();
+        assert_eq!(engine.factorize(true, 24).unwrap().states_enumerated(), 20);
+        let pw = possible_worlds_normalized(&t, 24).unwrap();
         assert_eq!(pw.len(), 1 << 10);
         assert!(prob_eq(pw.total_probability(), 1.0));
+        // The unused events change nothing: legacy enumeration of the same
+        // tree declaring only its 10 mentioned events agrees.
+        let legacy = possible_worlds(&singleton_children(10, 10), 10)
+            .unwrap()
+            .normalized();
+        assert!(pw.isomorphic(&legacy));
     }
 
     #[test]
@@ -1385,11 +969,18 @@ mod tests {
     fn factorized_matches_streamed_and_legacy_on_figure1() {
         let t = figure1_example();
         let engine = WorldEngine::new(&t);
-        let factorized = engine
-            .sharded(&WorldEngineConfig::sequential(), 20)
+        let fast = engine
+            .factorize(true, 20)
+            .unwrap()
+            .normalized_worlds()
             .unwrap();
-        let fast = factorized.normalized_worlds().unwrap();
-        let streamed = engine.normalized_worlds(20).unwrap();
+        // The streamed relevant-event enumeration: every valuation of the
+        // relevant events, unpruned and unmerged, at its marginal mass.
+        let relevant = engine.relevant_events();
+        let streamed = PossibleWorldSet::from_worlds(engine.all_valuations(20).unwrap().map(|v| {
+            let p = v.probability_over(t.events(), relevant.iter().copied());
+            (t.value_in_world(&v), p)
+        }));
         let legacy = possible_worlds(&t, 20).unwrap().normalized();
         assert!(fast.isomorphic(&streamed));
         assert!(fast.isomorphic(&legacy));
@@ -1421,9 +1012,7 @@ mod tests {
         );
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.components().len(), 3);
-        let factorized = engine
-            .sharded(&WorldEngineConfig::sequential(), 20)
-            .unwrap();
+        let factorized = engine.factorize(true, 20).unwrap();
         assert_eq!(factorized.states_enumerated(), 2 + 4 + 8);
         let per_shard: Vec<u64> = factorized
             .shards()
@@ -1461,9 +1050,7 @@ mod tests {
         );
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.components().len(), 1);
-        let factorized = engine
-            .sharded(&WorldEngineConfig::sequential(), 20)
-            .unwrap();
+        let factorized = engine.factorize(true, 20).unwrap();
         let shard = &factorized.shards()[0];
         assert_eq!(shard.states_enumerated, 8);
         assert_eq!(shard.assignments.len(), 4);
@@ -1479,43 +1066,36 @@ mod tests {
 
     #[test]
     fn joint_guard_refuses_oversized_cross_products() {
-        // 12 singleton components: shard work is 24 states, fine; the
-        // joint combine would walk 2^12 classes, above a cap of 2^10.
-        let mut t = ProbTree::new("A");
-        let root = t.tree().root();
-        for i in 0..12 {
-            let w = t.events_mut().fresh(0.5);
-            t.add_child(root, format!("C{i}"), Condition::of(Literal::pos(w)));
-        }
-        let engine = WorldEngine::new(&t);
-        let config = WorldEngineConfig::sequential().with_joint_cap_bits(10);
-        let factorized = engine.sharded(&config, 10).unwrap();
+        // 12 singleton components at budget 10: shard work is 24 states,
+        // fine; the joint combine would walk 2^12 classes, above the
+        // derived cap of 2^10.
+        let t = singleton_children(12, 12);
+        let factorized = WorldEngine::new(&t).factorize(true, 10).unwrap();
         assert_eq!(factorized.states_enumerated(), 24);
+        assert_eq!(factorized.num_joint_assignments(), 1 << 12);
         let err = factorized.joint_valuations().unwrap_err();
-        assert_eq!(err.joint_assignments, 1 << 12);
-        assert_eq!(err.max_joint_worlds, 1 << 10);
+        assert_eq!(err.num_events, 12);
+        assert_eq!(err.max_events, 10);
         assert!(factorized.normalized_worlds().is_err());
     }
 
     #[test]
     fn event_budget_config_grants_the_full_joint_budget() {
-        // The contract regression the joint cap must not introduce: a
-        // consumer guarded by `max_events` grants the joint walk exactly
-        // `2^{max_events}`, even above the standalone default of `2^24` —
-        // so every input the streamed engine accepted stays accepted.
-        assert_eq!(
-            WorldEngineConfig::for_event_budget(26).max_joint_worlds,
-            1 << 26
-        );
-        assert_eq!(
-            WorldEngineConfig::for_event_budget(10).max_joint_worlds,
-            1 << 10
-        );
-        assert_eq!(
-            WorldEngineConfig::for_event_budget(200).max_joint_worlds,
-            u128::MAX
-        );
-        assert_eq!(WorldEngineConfig::default().max_joint_worlds, 1 << 24);
+        // The joint cap is exactly `2^{max_events}`, with no separate
+        // default below it: a budget of 26 accepts a joint of 2^25 classes
+        // and a budget of 24 refuses it. The walk is lazy, so nothing is
+        // materialized.
+        let t = singleton_children(25, 25);
+        let engine = WorldEngine::new(&t);
+        let roomy = engine.factorize(true, 26).unwrap();
+        assert_eq!(roomy.num_joint_assignments(), 1 << 25);
+        assert!(roomy.joint_valuations().is_ok());
+        let tight = engine.factorize(true, 24).unwrap();
+        let err = tight.joint_valuations().unwrap_err();
+        assert_eq!((err.num_events, err.max_events), (25, 24));
+        // Budgets past the `u128` range saturate instead of overflowing.
+        assert_eq!(pow2_saturating(10), 1 << 10);
+        assert_eq!(pow2_saturating(200), u128::MAX);
     }
 
     #[test]
@@ -1529,19 +1109,17 @@ mod tests {
             Condition::from_literals(w.iter().map(|&e| Literal::pos(e))),
         );
         let engine = WorldEngine::new(&t);
-        let err = engine
-            .sharded(&WorldEngineConfig::sequential(), 6)
-            .unwrap_err();
+        let err = engine.factorize(true, 6).unwrap_err();
         assert_eq!(err.num_events, 8);
         assert_eq!(err.max_events, 6);
-        assert!(engine.sharded(&WorldEngineConfig::sequential(), 8).is_ok());
+        assert!(engine.factorize(true, 8).is_ok());
     }
 
     #[test]
     fn parallel_executor_matches_sequential() {
         // 4 components of 12 chained events each: 4 · 2^12 = 16384 shard
-        // states, above PARALLEL_SHARD_THRESHOLD, so parallelism > 1
-        // really engages the scoped thread pool.
+        // states, above PARALLEL_SHARD_THRESHOLD, so `factorize` takes the
+        // scoped-thread-pool branch wherever the host has several cores.
         let mut t = ProbTree::new("A");
         let root = t.tree().root();
         for i in 0..4 {
@@ -1558,24 +1136,23 @@ mod tests {
         }
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.components().len(), 4);
-        let sequential = engine
-            .sharded(&WorldEngineConfig::sequential(), 14)
-            .unwrap();
-        let parallel_config = WorldEngineConfig {
-            parallelism: 4,
-            ..WorldEngineConfig::sequential()
-        };
-        let parallel = engine.sharded(&parallel_config, 14).unwrap();
-        assert_eq!(sequential.states_enumerated(), 4 * (1 << 12));
-        assert_eq!(sequential.states_enumerated(), parallel.states_enumerated());
-        assert_eq!(sequential.shards().len(), parallel.shards().len());
-        for (a, b) in sequential.shards().iter().zip(parallel.shards()) {
-            assert_eq!(a.events, b.events);
-            assert_eq!(a.assignments.len(), b.assignments.len());
-            for (x, y) in a.assignments.iter().zip(&b.assignments) {
-                assert_eq!(x.valuation, y.valuation);
-                assert!(prob_eq(x.probability, y.probability));
-                assert_eq!(x.merged, y.merged);
+        assert!(engine.shard_plan(true).predicted_states() >= PARALLEL_SHARD_THRESHOLD);
+        let conditions = conditions_by_component(&engine);
+        let sequential = run_sequential(&engine, &conditions, true);
+        let parallel = run_parallel(&engine, &conditions, true, 4);
+        let production = engine.factorize(true, 14).unwrap();
+        assert_eq!(production.states_enumerated(), 4 * (1 << 12));
+        for shards in [&parallel[..], production.shards()] {
+            assert_eq!(sequential.len(), shards.len());
+            for (a, b) in sequential.iter().zip(shards) {
+                assert_eq!(a.events, b.events);
+                assert_eq!(a.states_enumerated, b.states_enumerated);
+                assert_eq!(a.assignments.len(), b.assignments.len());
+                for (x, y) in a.assignments.iter().zip(&b.assignments) {
+                    assert_eq!(x.valuation, y.valuation);
+                    assert!(prob_eq(x.probability, y.probability));
+                    assert_eq!(x.merged, y.merged);
+                }
             }
         }
     }
@@ -1597,9 +1174,7 @@ mod tests {
         let unused = t.events_mut().fresh(0.25);
         t.add_child(root, "D", Condition::of(Literal::pos(w[3])));
         let engine = WorldEngine::new(&t);
-        let factorized = engine
-            .sharded(&WorldEngineConfig::sequential(), 20)
-            .unwrap();
+        let factorized = engine.factorize(true, 20).unwrap();
         // Cross-component conjunction: independent events multiply.
         let cond =
             Condition::from_literals([Literal::pos(w[0]), Literal::neg(w[1]), Literal::pos(w[2])]);
@@ -1633,9 +1208,7 @@ mod tests {
         t.add_child(root, "B", Condition::of(Literal::pos(certain)));
         t.add_child(root, "C", Condition::of(Literal::pos(w)));
         let engine = WorldEngine::new(&t);
-        let weighted = engine
-            .sharded(&WorldEngineConfig::sequential(), 10)
-            .unwrap();
+        let weighted = engine.factorize(true, 10).unwrap();
         // The certain component enumerates a single pinned state.
         assert_eq!(weighted.states_enumerated(), 1 + 2);
         assert!(weighted
@@ -1643,9 +1216,7 @@ mod tests {
             .unwrap()
             .all(|(v, _)| v.get(certain)));
         // The ∀-sweep keeps the dead branch.
-        let all = engine
-            .sharded_all(&WorldEngineConfig::sequential(), 10)
-            .unwrap();
+        let all = engine.factorize(false, 10).unwrap();
         assert_eq!(all.states_enumerated(), 2 + 2);
         assert_eq!(all.num_joint_assignments(), 4);
     }
@@ -1659,7 +1230,7 @@ mod tests {
         let root = t.tree().root();
         t.add_child(root, "B", Condition::always());
         let engine = WorldEngine::new(&t);
-        let factorized = engine.sharded(&WorldEngineConfig::sequential(), 0).unwrap();
+        let factorized = engine.factorize(true, 0).unwrap();
         assert_eq!(factorized.states_enumerated(), 0);
         assert_eq!(factorized.num_joint_assignments(), 1);
         let joint: Vec<_> = factorized.joint_valuations().unwrap().collect();
@@ -1680,7 +1251,8 @@ mod tests {
         t.add_child(root, "B", Condition::of(Literal::pos(certain)));
         t.add_child(root, "C", Condition::of(Literal::pos(w)));
         let engine = WorldEngine::new(&t);
-        let weighted: Vec<_> = engine.valuations(10).unwrap().collect();
+        let factorized = engine.factorize(true, 10).unwrap();
+        let weighted: Vec<_> = factorized.joint_valuations().unwrap().collect();
         assert_eq!(weighted.len(), 2, "certain event pinned true");
         assert!(weighted.iter().all(|(v, _)| v.get(certain)));
         let total: f64 = weighted.iter().map(|(_, p)| p).sum();
@@ -1689,11 +1261,12 @@ mod tests {
         let all: Vec<_> = engine.all_valuations(10).unwrap().collect();
         assert_eq!(all.len(), 4);
         // Worlds: B always present, C half the time.
-        let pw = engine.normalized_worlds(10).unwrap();
+        let pw = possible_worlds_normalized(&t, 10).unwrap();
         assert_eq!(pw.len(), 2);
         assert!(pw
             .iter()
             .all(|(world, _)| { world.iter().any(|n| world.label(n) == "B") }));
+        assert!(pw.isomorphic(&possible_worlds(&t, 10).unwrap().normalized()));
     }
 
     #[test]
@@ -1707,24 +1280,30 @@ mod tests {
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.num_relevant(), 0);
         // 30 declared events would be 2^30 valuations for the legacy path.
-        let pw = engine.normalized_worlds(0).unwrap();
+        let pw = possible_worlds_normalized(&t, 0).unwrap();
         assert_eq!(pw.len(), 1);
         assert!(prob_eq(pw.total_probability(), 1.0));
+        // The same tree without declared events is the legacy reference.
+        let mut bare = ProbTree::new("A");
+        let root = bare.tree().root();
+        bare.add_child(root, "B", Condition::always());
+        assert!(pw.isomorphic(&possible_worlds(&bare, 0).unwrap().normalized()));
     }
 
     #[test]
     fn guard_counts_relevant_events_only() {
-        let mut t = ProbTree::new("A");
-        let root = t.tree().root();
-        for i in 0..12 {
-            let w = t.events_mut().fresh(0.5);
-            t.add_child(root, format!("C{i}"), Condition::of(Literal::pos(w)));
-        }
-        let engine = WorldEngine::new(&t);
-        let err = engine.normalized_worlds(10).unwrap_err();
+        // 12 mentioned events of 20 declared: at budget 10 the joint combine
+        // (2^12 classes) is refused and the error names the 12 enumerated
+        // events, not the 20 declared ones.
+        let t = singleton_children(20, 12);
+        let err = possible_worlds_normalized(&t, 10).unwrap_err();
         assert_eq!(err.num_events, 12);
         assert_eq!(err.max_events, 10);
-        assert!(engine.normalized_worlds(12).is_ok());
+        let pw = possible_worlds_normalized(&t, 12).unwrap();
+        let legacy = possible_worlds(&singleton_children(12, 12), 12)
+            .unwrap()
+            .normalized();
+        assert!(pw.isomorphic(&legacy));
     }
 
     #[test]
@@ -1747,6 +1326,21 @@ mod tests {
     }
 
     #[test]
+    fn undeclared_extra_events_are_ignored() {
+        // A 1-event tree probed with ids past its table: valuations only
+        // cover the declared event, so the extras must not become relevant.
+        let mut t = ProbTree::new("A");
+        let w = t.events_mut().insert("w", 0.5);
+        let root = t.tree().root();
+        t.add_child(root, "B", Condition::of(Literal::pos(w)));
+        for id in [5, 70] {
+            let engine = WorldEngine::with_extra_events(&t, [EventId::from_index(id)]);
+            assert_eq!(engine.relevant_events(), &[w]);
+            assert_eq!(engine.all_valuations(10).unwrap().count(), 2);
+        }
+    }
+
+    #[test]
     fn long_cooccurrence_chains_do_not_overflow_the_stack() {
         // Pairwise-chained conditions declared root-last build a union-find
         // parent chain of depth ~n; the iterative find must absorb it (the
@@ -1766,7 +1360,9 @@ mod tests {
         let engine = WorldEngine::new(&t);
         assert_eq!(engine.num_relevant(), n);
         assert_eq!(engine.components().len(), 1);
-        assert!(engine.normalized_worlds(24).is_err(), "still guarded");
+        let err = possible_worlds_normalized(&t, 24).unwrap_err();
+        assert_eq!(err.num_events, n, "still guarded");
+        assert!(possible_worlds(&t, 24).is_err());
     }
 
     #[test]
@@ -1780,18 +1376,19 @@ mod tests {
 
     #[test]
     fn streamed_accumulator_keeps_one_tree_per_class() {
-        // Both valuations of w produce the same world (the condition is on
-        // a node that doesn't exist — no, simpler: two children with
-        // complementary conditions and the same label produce isomorphic
-        // worlds for both valuations).
+        // Two children with complementary conditions and the same label:
+        // the two joint classes (w, ¬w) produce isomorphic worlds, so the
+        // canonical-form accumulator keeps a single entry.
         let mut t = ProbTree::new("A");
         let w = t.events_mut().insert("w", 0.3);
         let root = t.tree().root();
         t.add_child(root, "B", Condition::of(Literal::pos(w)));
         t.add_child(root, "B", Condition::of(Literal::neg(w)));
-        let engine = WorldEngine::new(&t);
-        let pw = engine.normalized_worlds(10).unwrap();
+        let factorized = WorldEngine::new(&t).factorize(true, 10).unwrap();
+        assert_eq!(factorized.num_joint_assignments(), 2);
+        let pw = factorized.normalized_worlds().unwrap();
         assert_eq!(pw.len(), 1, "both valuations land in one class");
         assert!(prob_eq(pw.total_probability(), 1.0));
+        assert!(pw.isomorphic(&possible_worlds(&t, 10).unwrap().normalized()));
     }
 }

@@ -28,7 +28,7 @@ pub struct DtdRestriction {
 
 /// Computes the set of valid worlds `{(t, p) ∈ JT K | t ⊨ D}`. Exponential
 /// in the worst case (guarded by `max_events`), but the expansion runs on
-/// the factorized shard executor: `Σ_c 2^{|C_i|}` per-component states,
+/// the factorized world engine: `Σ_c 2^{|C_i|}` per-component states,
 /// with only the condition-distinct classes crossed into joint worlds, so
 /// trees with many small co-occurrence components restrict far beyond the
 /// old `2^{|relevant|}` guard.
@@ -140,7 +140,7 @@ mod tests {
     }
 
     /// DTD restriction on 18 relevant events in 6 components of 3 — a
-    /// budget (`max_events = 16`) the streamed engine refuses: 64 joint
+    /// budget (`max_events = 16`) a `2^{|relevant|}` guard refuses: 64 joint
     /// classes, of which the DTD keeps the worlds with at most one C.
     #[test]
     fn factorized_restriction_handles_many_small_components() {

@@ -400,11 +400,8 @@ mod tests {
         }
     }
 
-    // The one-shot wrappers are deprecated but must stay semantically
-    // identical to the prepared views while they exist.
-    #[allow(deprecated)]
     #[test]
-    fn analysis_report_views_agree_with_the_free_functions() {
+    fn analysis_report_views_agree_with_fresh_prepared_queries() {
         let mut rng = StdRng::seed_from_u64(0x77);
         let config = WarehouseConfig {
             services: 3,
@@ -414,14 +411,17 @@ mod tests {
         let warehouse = run_scenario(&config, &mut rng);
         let analysis = analyze(&warehouse, 2, 0.5);
         let query = services_with_endpoint_and_contact();
-        // The prepared views agree with the one-shot wrappers.
-        let reference = pxml_core::query::ranked::top_k(&query, &warehouse.tree, 2);
-        assert_eq!(analysis.top.len(), reference.len());
-        for (a, b) in analysis.top.iter().zip(&reference) {
+        // The views agree with an independently prepared query: the heap
+        // top-k with the full-sort ranking, the expectation with the sum
+        // over the answer stream.
+        let prepared = QueryEngine::new().prepare(&warehouse.tree, &query);
+        let reference = prepared.ranked();
+        assert_eq!(analysis.top.len(), reference.len().min(2));
+        for (a, b) in analysis.top.iter().zip(reference.iter()) {
             assert_eq!(a.probability, b.probability);
             assert_eq!(a.subtree, b.subtree);
         }
-        let expected = pxml_core::query::ranked::expected_matches(&query, &warehouse.tree);
+        let expected: f64 = prepared.answers().map(|a| a.probability).sum();
         assert!((analysis.expected_services - expected).abs() < 1e-12);
         // Every confident answer clears the threshold and ranks best-first.
         assert!(analysis.confident.iter().all(|a| a.probability >= 0.5));

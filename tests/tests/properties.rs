@@ -5,9 +5,10 @@ use proptest::prelude::*;
 use pxml_core::clean::{clean, is_clean};
 use pxml_core::equivalence::structural_equivalent_exhaustive;
 use pxml_core::probtree::ProbTree;
-use pxml_core::semantics::{possible_worlds, pw_set_to_probtree};
+use pxml_core::pwset::PossibleWorldSet;
+use pxml_core::semantics::{possible_worlds, possible_worlds_normalized, pw_set_to_probtree};
 use pxml_core::update::{ProbabilisticUpdate, UpdateOperation};
-use pxml_core::worlds::{WorldEngine, WorldEngineConfig};
+use pxml_core::worlds::WorldEngine;
 use pxml_core::PatternQuery;
 use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::builder::TreeSpec;
@@ -163,9 +164,8 @@ proptest! {
                 q
             },
         ];
-        let engine = pxml_core::QueryEngine::with_config(
-            pxml_core::QueryEngineConfig::for_event_budget(16),
-        );
+        let engine =
+            pxml_core::QueryEngine::with_config(pxml_core::QueryEngineConfig { max_events: 16 });
         for q in &queries {
             prop_assert!(engine.prepare(&tree, q).theorem1_check().unwrap());
         }
@@ -230,7 +230,7 @@ proptest! {
         let legacy = possible_worlds(&tree, 16).unwrap().normalized();
         let engine = WorldEngine::new(&tree);
         prop_assert!(engine.num_relevant() <= tree.events().len());
-        let fast = engine.normalized_worlds(16).unwrap();
+        let fast = possible_worlds_normalized(&tree, 16).unwrap();
         prop_assert!(fast.isomorphic(&legacy));
         prop_assert!((fast.total_probability() - 1.0).abs() < 1e-9);
     }
@@ -267,29 +267,43 @@ proptest! {
         prop_assert_eq!(component_total, engine.num_relevant());
 
         let legacy = possible_worlds(&tree, 12).unwrap().normalized();
-        let fast = engine.normalized_worlds(6).unwrap();
+        let fast = possible_worlds_normalized(&tree, 6).unwrap();
         prop_assert!(fast.isomorphic(&legacy));
     }
 }
 
 // ---------------------------------------------------------------------------
-// Factorized shard-executor properties
+// Factorized shard properties
 // ---------------------------------------------------------------------------
+
+/// The normalized worlds of an independent relevant-event enumeration:
+/// every valuation of the relevant events (no π = 1 pinning, no class
+/// merging), each weighted by its marginal probability.
+fn relevant_event_worlds(engine: &WorldEngine<'_>) -> PossibleWorldSet {
+    let tree = engine.tree();
+    let relevant = engine.relevant_events();
+    PossibleWorldSet::from_worlds(engine.all_valuations(16).unwrap().map(|v| {
+        let p = v.probability_over(tree.events(), relevant.iter().copied());
+        (tree.value_in_world(&v), p)
+    }))
+    .normalized()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Three-way agreement: the legacy full enumeration, the streamed
-    /// (PR-2) engine and the factorized shard executor produce isomorphic
+    /// relevant-event enumeration (every valuation of the relevant events,
+    /// unpruned and unmerged) and the factorized shards produce isomorphic
     /// normalized PW sets on random prob-trees.
     #[test]
     fn factorized_matches_streamed_and_legacy(spec in probtree_strategy()) {
         let tree = build_probtree(&spec);
         let legacy = possible_worlds(&tree, 16).unwrap().normalized();
         let engine = WorldEngine::new(&tree);
-        let streamed = engine.normalized_worlds(16).unwrap();
+        let streamed = relevant_event_worlds(&engine);
         let factorized = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .factorize(true, 16)
             .unwrap()
             .normalized_worlds()
             .unwrap();
@@ -310,7 +324,7 @@ proptest! {
         let tree = build_probtree(&spec);
         let engine = WorldEngine::new(&tree);
         let fw = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .factorize(true, 16)
             .unwrap();
         for (i, shard) in fw.shards().iter().enumerate() {
             let raw: f64 = engine
@@ -361,7 +375,7 @@ proptest! {
         let engine = WorldEngine::new(&tree);
         prop_assert_eq!(engine.components().len(), 1);
         let fw = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .factorize(true, 16)
             .unwrap();
         prop_assert_eq!(fw.shards().len(), 1);
         prop_assert_eq!(fw.states_enumerated(), 1u64 << probs.len());
@@ -409,7 +423,7 @@ proptest! {
         let engine = WorldEngine::new(&tree);
         prop_assert_eq!(engine.components().len(), events.len());
         let fw = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .factorize(true, 16)
             .unwrap();
         prop_assert_eq!(fw.states_enumerated(), 2 * events.len() as u64);
         prop_assert_eq!(fw.num_joint_assignments(), 1u128 << events.len());
@@ -434,7 +448,7 @@ proptest! {
         let tree = build_probtree(&spec);
         let engine = WorldEngine::new(&tree);
         let fw = engine
-            .sharded(&WorldEngineConfig::sequential(), 16)
+            .factorize(true, 16)
             .unwrap();
         let num_events = tree.events().len();
         let condition = Condition::from_literals(literal_spec.iter().map(|&(e, positive)| {

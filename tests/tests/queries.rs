@@ -236,10 +236,6 @@ proptest! {
         let engine: Vec<ProbAnswer> =
             QueryEngine::new().prepare(&tree, &query).answers().collect();
         assert_same_answers(&engine, &legacy);
-        // The (deprecated) wrapper is the engine.
-        #[allow(deprecated)]
-        let wrapper = pxml_core::query::prob::query_probtree(&query, &tree);
-        assert_same_answers(&wrapper, &legacy);
     }
 
     /// Bounded-heap top-k equals the legacy full-sort-then-truncate
@@ -306,7 +302,7 @@ proptest! {
     ) {
         let tree = build_probtree(&tree_spec);
         let query = build_pattern(&pattern);
-        let engine = QueryEngine::with_config(QueryEngineConfig::for_event_budget(16));
+        let engine = QueryEngine::with_config(QueryEngineConfig { max_events: 16 });
         prop_assert!(engine.prepare(&tree, &query).theorem1_check().unwrap());
     }
 }
