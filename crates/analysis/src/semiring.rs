@@ -1,6 +1,6 @@
 //! Static semiring support facts: what the generic provenance path
-//! (`PreparedQuery::answers_in::<S>`, `simplify_with_in::<S>`) can
-//! promise for a workload *before* it runs.
+//! (`PreparedQuery::answers_in::<S>`) and the update simplifier's
+//! certainty pruning can promise for a workload *before* it runs.
 //!
 //! The query engine interns each answer's condition as one conjunction
 //! of literals, so every semiring in `pxml_events::semiring` is
@@ -82,11 +82,12 @@ pub struct ScriptSemiringSupport {
 }
 
 impl ScriptSemiringSupport {
-    /// The semirings under which `simplify_with_in` prunes certain
-    /// literals on this tree: `probability,possibility` when certain
-    /// events exist, `none` when provably none do, `unknown` without a
-    /// tree. Counting and lineage never have certain literals, so
-    /// pruning is always an identity for them.
+    /// The semirings with certain literals on this tree — the ones under
+    /// which certainty pruning is not the identity:
+    /// `probability,possibility` when certain events exist, `none` when
+    /// provably none do, `unknown` without a tree. Counting and lineage
+    /// never have certain literals. The update simplifier prunes under
+    /// `probability`, whose certain literals are exactly possibility's.
     pub fn prune_semirings(&self) -> &'static str {
         match self.certain_events {
             Some(0) => "none",

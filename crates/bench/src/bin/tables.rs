@@ -246,6 +246,10 @@ fn e4_insertion_scaling() {
         "{:>8} {:>12} {:>12} {:>12} {:>12}",
         "|T|", "size before", "size after", "growth", "time (ms)"
     );
+    // Raw engine: Proposition 2 bounds the Appendix A insertion itself.
+    // The default engine's simplifier would also clean the (uncleaned)
+    // random input and shrink it.
+    let appendix_a = UpdateEngine::with_config(UpdateEngineConfig::raw());
     let mut r = rng();
     for nodes in [100usize, 500, 2_000, 8_000] {
         let tree = scaling_probtree(nodes, &mut r);
@@ -255,14 +259,18 @@ fn e4_insertion_scaling() {
             ProbabilisticUpdate::new(UpdateOperation::insert(q, at, DataTree::new("E")), 0.9);
         let before = tree.size();
         let start = Instant::now();
-        let (updated, _) = update.apply_to_probtree(&tree);
+        let (updated, _) = appendix_a.apply(&tree, &update);
         let elapsed = start.elapsed();
+        let growth = updated
+            .size()
+            .checked_sub(before)
+            .expect("an insertion never shrinks the prob-tree");
         println!(
             "{:>8} {:>12} {:>12} {:>12} {:>12.3}",
             nodes,
             before,
             updated.size(),
-            updated.size() - before,
+            growth,
             ms(elapsed)
         );
     }

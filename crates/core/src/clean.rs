@@ -10,45 +10,44 @@
 //!    imposed by an ancestor.
 //!
 //! Cleaning preserves structural equivalence and is the first step of the
-//! Figure 3 randomized equivalence algorithm.
+//! Figure 3 randomized equivalence algorithm. The update engine's
+//! simplifier runs the same pass in place, next to an in-place pruning of
+//! the branches that `π(w) = 1` events make impossible.
 
-use std::collections::HashMap;
-
-use pxml_events::{Condition, Literal, Probability, Semiring};
+use pxml_events::{Condition, EventTable, Literal};
 use pxml_tree::NodeId;
 
 use crate::probtree::ProbTree;
 
-/// Returns a cleaned, compacted copy of `tree`. Shared children are
-/// materialized first: cleaning rewrites conditions in place, which the
-/// immutable stored shapes do not support.
+/// Returns a cleaned, compacted copy of `tree`.
 pub fn clean(tree: &ProbTree) -> ProbTree {
-    clean_traced(tree).0
+    let mut work = tree.clone();
+    clean_in_place(&mut work);
+    work.compact().0
 }
 
-/// [`clean`] plus the node mapping from ids in `tree` (after expansion —
-/// expansion appends, so pre-existing arena ids are stable) to ids in the
-/// returned tree. `None` means the identity mapping; nodes absent from the
-/// map were pruned. The update engine threads these maps through its
-/// simplification chain to build the ground-truth [`crate::UpdateDelta`].
-pub fn clean_traced(tree: &ProbTree) -> (ProbTree, Option<HashMap<NodeId, NodeId>>) {
-    let mut work = tree.expanded().into_owned();
+/// Cleans `tree` in place. Shared children are materialized first:
+/// cleaning rewrites conditions, which the immutable stored shapes do not
+/// support. Pruned nodes are detached, not dropped — they stay in the
+/// arena until the caller's next [`ProbTree::compact`].
+pub(crate) fn clean_in_place(tree: &mut ProbTree) {
+    tree.expand_all();
     let mut to_detach: Vec<NodeId> = Vec::new();
 
     // Pre-order walk guarantees ancestors are processed before descendants,
     // so ancestor conditions read below are already cleaned.
-    let nodes: Vec<NodeId> = work.tree().iter().collect();
+    let nodes: Vec<NodeId> = tree.tree().iter().collect();
     for node in nodes {
-        if node == work.tree().root() {
+        if node == tree.tree().root() {
             continue;
         }
-        let ancestor = work.ancestor_condition(node);
+        let ancestor = tree.ancestor_condition(node);
         if !ancestor.is_consistent() {
             // An ancestor is already impossible; this node can never exist.
             to_detach.push(node);
             continue;
         }
-        let own = work.condition(node);
+        let own = tree.condition(node);
         let mut kept: Vec<Literal> = Vec::new();
         let mut inconsistent = !own.is_consistent();
         for &literal in own.literals() {
@@ -66,90 +65,46 @@ pub fn clean_traced(tree: &ProbTree) -> (ProbTree, Option<HashMap<NodeId, NodeId
         if inconsistent {
             to_detach.push(node);
         } else {
-            work.set_condition(node, Condition::from_literals(kept));
+            tree.set_condition(node, Condition::from_literals(kept));
         }
     }
-    for node in to_detach {
-        // A node may already hang below a previously detached ancestor; the
-        // arena detach is idempotent enough for our purposes (detaching a
-        // node whose parent was detached is harmless).
-        if work.tree().parent(node).is_some() {
-            work.detach(node);
-        }
-    }
-    let (compacted, mapping) = work.compact();
-    (compacted, Some(mapping))
+    detach_all(tree, to_detach);
 }
 
-/// Prunes the branches a **certain** event makes impossible and drops the
-/// literals it makes redundant: a positive literal on a `π(w) = 1` event
-/// holds in every positive-probability world (removed from its condition),
-/// while a negative literal on such an event can never hold there (the
-/// node and its descendants are detached). `π(w) = 0` cannot occur — the
-/// event table enforces `π ∈ (0, 1]`.
+/// Prunes, in place, the branches a **certain** event makes impossible and
+/// drops the literals it makes redundant: a positive literal on a
+/// `π(w) = 1` event holds in every positive-probability world (removed
+/// from its condition), while a negative literal on such an event can
+/// never hold there (the node and its descendants are detached).
+/// `π(w) = 0` cannot occur — the event table enforces `π ∈ (0, 1]`.
 ///
 /// Unlike [`clean`], which preserves structural equivalence (Definition 9
 /// quantifies over *all* valuations, including zero-probability ones),
 /// this pass only preserves the **normalized possible-world semantics**:
 /// it is part of the update engine's simplification chain, whose contract
 /// is agreement with `apply_to_pw_set` up to normalization.
-pub fn prune_certain(tree: &ProbTree) -> ProbTree {
-    prune_certain_traced(tree).0
-}
-
-/// [`prune_certain`] plus the node mapping, with the same contract as
-/// [`clean_traced`]. The no-certain-event early return yields `None`
-/// (identity) without scanning. Equivalent to [`prune_certain_traced_in`]
-/// under the [`Probability`] semiring.
-pub fn prune_certain_traced(tree: &ProbTree) -> (ProbTree, Option<HashMap<NodeId, NodeId>>) {
-    prune_certain_traced_in(tree, &Probability)
-}
-
-/// [`prune_certain`] generalized over a [`Semiring`]: a literal is dropped
-/// when it is *certain* in the semiring's sense
-/// ([`Semiring::literal_certain`]: its negation annihilates), and a branch
-/// is detached when its literal's interpretation is the semiring's zero.
-/// Under [`Probability`] this is exactly the π ≥ 1 pass ([`prune_certain`]
-/// keeps its historical behavior); under `Counting` or `Lineage` no
-/// literal is ever certain and the pass is the identity.
-pub fn prune_certain_in<S: Semiring>(tree: &ProbTree, semiring: &S) -> ProbTree {
-    prune_certain_traced_in(tree, semiring).0
-}
-
-/// [`prune_certain_in`] plus the node mapping, with the same contract as
-/// [`clean_traced`].
-pub fn prune_certain_traced_in<S: Semiring>(
-    tree: &ProbTree,
-    semiring: &S,
-) -> (ProbTree, Option<HashMap<NodeId, NodeId>>) {
+pub(crate) fn prune_certain(tree: &mut ProbTree) {
     // Fresh confidence events are always < 1, so most trees have no
-    // certain event at all — skip the scan-and-compact entirely. (Under
-    // `Probability` only positive literals on π = 1 events are certain and
-    // only their negations are impossible, so checking both polarities per
-    // event reduces to the historical `π < 1 for all events` early
-    // return.)
+    // certain event at all — skip the scan and the expansion entirely.
     let events = tree.events();
-    if events.iter().all(|e| {
-        !semiring.literal_certain(Literal::pos(e), events)
-            && !semiring.literal_certain(Literal::neg(e), events)
-    }) {
-        return (tree.clone(), None);
+    if events.iter().all(|e| events.prob(e) < 1.0) {
+        return;
     }
-    let mut work = tree.expanded().into_owned();
+    tree.expand_all();
     let mut to_detach: Vec<NodeId> = Vec::new();
-    let nodes: Vec<NodeId> = work.tree().iter().collect();
+    let nodes: Vec<NodeId> = tree.tree().iter().collect();
     for node in nodes {
-        if node == work.tree().root() {
+        if node == tree.tree().root() {
             continue;
         }
-        let own = work.condition(node);
+        let own = tree.condition(node);
         let mut kept: Vec<Literal> = Vec::new();
         let mut impossible = false;
         for &literal in own.literals() {
-            if semiring.literal_certain(literal, work.events()) {
+            if is_impossible(literal.negated(), tree.events()) {
                 continue; // certainly true: superfluous
             }
-            if semiring.is_zero(&semiring.literal(literal, work.events())) {
+            if is_impossible(literal, tree.events()) {
                 impossible = true; // certainly false: dead branch
                 break;
             }
@@ -158,17 +113,27 @@ pub fn prune_certain_traced_in<S: Semiring>(
         if impossible {
             to_detach.push(node);
         } else if kept.len() != own.len() {
-            work.set_condition(node, Condition::from_literals(kept));
+            tree.set_condition(node, Condition::from_literals(kept));
         }
     }
-    for node in to_detach {
-        // Guard as in `clean`: an ancestor may already be detached.
-        if work.tree().parent(node).is_some() {
-            work.detach(node);
+    detach_all(tree, to_detach);
+}
+
+/// `true` when `literal` holds in no positive-probability world — the
+/// negation of a `π(w) = 1` event. Its negation is then certain.
+pub(crate) fn is_impossible(literal: Literal, events: &EventTable) -> bool {
+    literal.prob(events) == 0.0
+}
+
+/// Detaches every node of `nodes` still attached to its parent (a node
+/// may already hang below a previously detached ancestor, where detaching
+/// it again is pointless).
+fn detach_all(tree: &mut ProbTree, nodes: Vec<NodeId>) {
+    for node in nodes {
+        if tree.tree().parent(node).is_some() {
+            tree.detach(node);
         }
     }
-    let (compacted, mapping) = work.compact();
-    (compacted, Some(mapping))
 }
 
 /// `true` if `tree` is already clean: no node condition repeats or
@@ -300,7 +265,8 @@ mod tests {
         let before = crate::semantics::possible_worlds(&t, 20)
             .unwrap()
             .normalized();
-        let pruned = prune_certain(&t);
+        let mut pruned = t.clone();
+        prune_certain(&mut pruned);
         assert_eq!(pruned.num_nodes(), 3, "D and E are dead branches");
         assert_eq!(pruned.num_literals(), 1, "only B's w literal remains");
         let after = crate::semantics::possible_worlds(&pruned, 20)
@@ -312,7 +278,8 @@ mod tests {
     #[test]
     fn prune_certain_is_identity_without_certain_events() {
         let t = figure1_example();
-        let pruned = prune_certain(&t);
+        let mut pruned = t.clone();
+        prune_certain(&mut pruned);
         assert_eq!(pruned.num_nodes(), t.num_nodes());
         assert_eq!(pruned.num_literals(), t.num_literals());
     }
@@ -324,8 +291,10 @@ mod tests {
         let root = t.tree().root();
         let b = t.add_child(root, "B", Condition::of(Literal::pos(w)));
         t.add_child(b, "C", Condition::of(Literal::pos(w)));
-        let once = clean(&t);
-        let twice = clean(&once);
+        let mut once = t.clone();
+        clean_in_place(&mut once);
+        let mut twice = once.clone();
+        clean_in_place(&mut twice);
         assert_eq!(once.num_nodes(), twice.num_nodes());
         assert_eq!(once.num_literals(), twice.num_literals());
     }

@@ -5,9 +5,10 @@
 //! and stamps every state with a monotone [`Epoch`]. Each
 //! [`UpdateEngine::apply_doc`](crate::UpdateEngine::apply_doc) step
 //! commits a new epoch together with an [`UpdateDelta`] — the ground
-//! truth of what the step did to the tree, reconstructed from the node
-//! mapping the engine threads through its compaction and simplification
-//! chain:
+//! truth of what the step did to the tree, reconstructed from the step's
+//! node map. The engine stages a step on one working copy, grafting and
+//! simplifying it in place, and compacts it once at the end; that
+//! compaction's old → new map is the node map:
 //!
 //! * **removed** — nodes of the old frame with no image in the new frame
 //!   (deletion targets, pruned branches, merged sibling copies), reported
@@ -37,7 +38,6 @@ use pxml_tree::NodeId;
 
 use crate::probtree::ProbTree;
 use crate::update::engine::StepReport;
-use crate::update::simplify::NodeMapping;
 
 /// Monotone version stamp of a [`Document`] state. Epoch 0 is the state
 /// the document was created with; every committed update step adds 1.
@@ -107,19 +107,19 @@ impl UpdateDelta {
         }
     }
 
-    /// Diffs two consecutive frames given the engine's composed node
-    /// mapping. Both frames must be fully expanded (the [`Document`]
-    /// invariant), so arena iteration covers every logical node.
+    /// Diffs two consecutive frames given the step's node map. Both
+    /// frames must be fully expanded (the [`Document`] invariant), so
+    /// arena iteration covers every logical node.
     fn diff(
         old: &ProbTree,
         new: &ProbTree,
-        mapping: &NodeMapping,
+        node_map: Option<HashMap<NodeId, NodeId>>,
         epoch: Epoch,
         report: StepReport,
     ) -> Self {
         let mut delta = UpdateDelta {
             epoch,
-            node_map: mapping.clone(),
+            node_map,
             removed_labels: BTreeSet::new(),
             inserted_labels: BTreeSet::new(),
             rewritten: BTreeSet::new(),
@@ -127,7 +127,7 @@ impl UpdateDelta {
             nodes_inserted: 0,
             report,
         };
-        let Some(map) = mapping else {
+        let Some(map) = &delta.node_map else {
             return delta; // identity: the step had no matches
         };
         let mut image: HashSet<NodeId> = HashSet::with_capacity(map.len());
@@ -271,7 +271,7 @@ impl DeltaWindow {
 pub const DEFAULT_DELTA_LOG_CAPACITY: usize = 256;
 
 /// A fully-applied but not-yet-committed update step: the new tree, the
-/// engine telemetry and the traced node mapping, stamped with the
+/// engine telemetry and the step's node map, stamped with the
 /// document identity and epoch it was staged against.
 ///
 /// Produced by [`UpdateEngine::stage_doc`](crate::UpdateEngine::stage_doc)
@@ -286,7 +286,7 @@ pub struct StagedStep {
     pub(crate) base_epoch: Epoch,
     pub(crate) tree: ProbTree,
     pub(crate) report: StepReport,
-    pub(crate) mapping: NodeMapping,
+    pub(crate) mapping: Option<HashMap<NodeId, NodeId>>,
 }
 
 impl StagedStep {
@@ -460,22 +460,22 @@ impl Document {
     }
 
     /// Commits the result of one engine step as the next epoch, diffing
-    /// the structured delta out of the traced node mapping.
+    /// the structured delta out of the step's node map.
     pub(crate) fn commit(
         &mut self,
         new_tree: ProbTree,
         report: StepReport,
-        mapping: NodeMapping,
+        mapping: Option<HashMap<NodeId, NodeId>>,
     ) -> Arc<UpdateDelta> {
         let mut new_tree = new_tree;
         // Survivor grafting may have introduced handles; restore the
         // fully-expanded invariant. Expansion appends arena nodes without
-        // renaming, so the traced mapping stays valid and the faulted-in
-        // copies are picked up as insertions by the diff.
+        // renaming, so the node map stays valid and the faulted-in copies
+        // are picked up as insertions by the diff.
         new_tree.expand_all();
         self.epoch += 1;
         let delta = Arc::new(UpdateDelta::diff(
-            &self.tree, &new_tree, &mapping, self.epoch, report,
+            &self.tree, &new_tree, mapping, self.epoch, report,
         ));
         self.tree = Arc::new(new_tree);
         self.log.push_back(Arc::clone(&delta));

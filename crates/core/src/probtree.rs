@@ -588,22 +588,31 @@ impl ProbTree {
 
     /// Memory accounting of the shared representation: logical size
     /// versus physically stored nodes, and the resulting dedup ratio.
+    /// One walk of the tree yields the logical counts as well.
     pub fn memory_stats(&self) -> MemoryStats {
         let mut arena_nodes = 0usize;
+        let mut logical_nodes = 0usize;
+        let mut logical_literals = 0usize;
         let mut shared_occurrences = 0usize;
         let mut roots: Vec<ShapeId> = Vec::new();
         for n in self.tree.iter() {
             arena_nodes += 1;
+            logical_nodes += 1;
+            logical_literals += self.conditions.get(&n).map_or(0, Condition::len);
             if let Some(entries) = self.handles.get(&n) {
                 shared_occurrences += entries.len();
-                roots.extend(entries.iter().map(|h| h.shape));
+                for h in entries {
+                    logical_nodes += self.store.size(h.shape);
+                    logical_literals += h.condition.len() + self.store.weight(h.shape);
+                    roots.push(h.shape);
+                }
             }
         }
         let distinct_shapes = self.store.reachable_from(roots).len();
         MemoryStats {
-            logical_nodes: self.num_nodes(),
+            logical_nodes,
             distinct_nodes: arena_nodes + distinct_shapes,
-            logical_literals: self.num_literals(),
+            logical_literals,
             shared_occurrences,
             store_live_shapes: self.store.num_live(),
         }

@@ -23,11 +23,12 @@
 //!    products prune inconsistent combinations early. For a confidence-`c`
 //!    deletion with `k` matches on one target this yields `1 + Π_j p_j`
 //!    survivor copies instead of `Π_j (p_j + 1)` (the fresh event `w` is
-//!    split off once), and the post-step [`simplify`](mod@super::simplify)
-//!    pass re-covers what the ordering alone cannot.
+//!    split off once), and the post-step simplifier
+//!    ([`UpdateEngineConfig::simplify`]) re-covers what the ordering alone
+//!    cannot.
 
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::{DataTree, NodeId};
@@ -36,17 +37,16 @@ use crate::probtree::ProbTree;
 use crate::query::pattern::{PatternMatch, PatternNodeId, PatternQuery};
 
 use super::script::{ScriptReport, UpdateScript};
-use super::simplify::{compose_mappings, simplify_traced, NodeMapping, SimplifyConfig};
+use super::simplify::simplify;
 use super::{ProbabilisticUpdate, UpdateAction};
 
 /// Configuration of an [`UpdateEngine`].
 #[derive(Clone, Debug)]
 pub struct UpdateEngineConfig {
-    /// Run the [`simplify`](mod@super::simplify) pass after every step
-    /// (default: `true`).
+    /// Simplify the tree after every step (default: `true`): cleaning,
+    /// certain-event pruning and sibling-cover merging, chained in place
+    /// for at most four passes (see the [`update`](super) module docs).
     pub simplify: bool,
-    /// Configuration of that pass.
-    pub simplify_config: SimplifyConfig,
     /// Order negation-chain literals so that literals shared by many
     /// deletion conditions come first (default: `true`). Disable to
     /// reproduce the naive Appendix A expansion (used by the blow-up
@@ -71,7 +71,6 @@ impl Default for UpdateEngineConfig {
     fn default() -> Self {
         UpdateEngineConfig {
             simplify: true,
-            simplify_config: SimplifyConfig::default(),
             shared_first_chains: true,
             max_survivor_copies: None,
             survivor_sharing: true,
@@ -87,7 +86,6 @@ impl UpdateEngineConfig {
     pub fn raw() -> Self {
         UpdateEngineConfig {
             simplify: false,
-            simplify_config: SimplifyConfig::default(),
             shared_first_chains: false,
             max_survivor_copies: None,
             survivor_sharing: true,
@@ -290,20 +288,20 @@ impl UpdateEngine {
     /// copies this step grafts are shared in the output (unless
     /// [`UpdateEngineConfig::survivor_sharing`] is off).
     pub fn apply(&self, tree: &ProbTree, update: &ProbabilisticUpdate) -> (ProbTree, StepReport) {
-        let (updated, report, _) = self.apply_traced(tree, update, false);
+        let (updated, report, _) = self.apply_with_node_map(tree, update);
         (updated, report)
     }
 
-    /// [`UpdateEngine::apply`] plus, when `trace` is set, the composed node
-    /// mapping from ids of the (expanded) input to ids of the output —
-    /// the raw material [`crate::Document::commit`] diffs into an
-    /// [`crate::UpdateDelta`]. With `trace` off no mapping is collected.
-    pub(crate) fn apply_traced(
+    /// [`UpdateEngine::apply`] plus the step's node map: the old → new map
+    /// of the step's one compaction, restricted to ids of the (expanded)
+    /// input — the raw material [`crate::Document::commit_staged`] diffs
+    /// into an [`crate::UpdateDelta`]. `None` when nothing matched (the
+    /// identity).
+    pub(crate) fn apply_with_node_map(
         &self,
         tree: &ProbTree,
         update: &ProbabilisticUpdate,
-        trace: bool,
-    ) -> (ProbTree, StepReport, NodeMapping) {
+    ) -> (ProbTree, StepReport, Option<HashMap<NodeId, NodeId>>) {
         // Satellite of the cross-step sharing gap: when no query label can
         // occur inside any stored shape, arena-only matching is exact and
         // the input's sharing survives the step.
@@ -316,19 +314,21 @@ impl UpdateEngine {
             expanded.as_ref()
         };
         let matches = update.operation.query.matches(tree.tree());
+        let nodes_before = tree.num_nodes();
+        let literals_before = tree.num_literals();
         let mut report = StepReport {
             matches: matches.len(),
             targets: 0,
             new_event: None,
-            nodes_before: tree.num_nodes(),
-            literals_before: tree.num_literals(),
-            nodes_raw: tree.num_nodes(),
-            literals_raw: tree.num_literals(),
-            nodes_after: tree.num_nodes(),
-            literals_after: tree.num_literals(),
+            nodes_before,
+            literals_before,
+            nodes_raw: nodes_before,
+            literals_raw: literals_before,
+            nodes_after: nodes_before,
+            literals_after: literals_before,
             survivor_copies: 0,
-            distinct_nodes_raw: tree.num_nodes(),
-            distinct_nodes_after: tree.num_nodes(),
+            distinct_nodes_raw: nodes_before,
+            distinct_nodes_after: nodes_before,
             entry_expansion_skipped: skip_entry,
         };
         if matches.is_empty() {
@@ -353,25 +353,29 @@ impl UpdateEngine {
                 report.survivor_copies = survivors;
             }
         }
-        let (raw, compact_mapping) = out.compact();
-        let mut mapping: NodeMapping = trace.then_some(compact_mapping);
-        report.nodes_raw = raw.num_nodes();
-        report.literals_raw = raw.num_literals();
-        report.distinct_nodes_raw = raw.memory_stats().distinct_nodes;
-        let updated = if self.config.simplify {
-            let (simplified, _, simplify_mapping) =
-                simplify_traced(&raw, &self.config.simplify_config);
-            if trace {
-                mapping = compose_mappings(mapping, simplify_mapping);
-            }
-            simplified
+        let raw = out.memory_stats();
+        report.nodes_raw = raw.logical_nodes;
+        report.literals_raw = raw.logical_literals;
+        report.distinct_nodes_raw = raw.distinct_nodes;
+        // The passes only detach and append: every node of `out` keeps its
+        // id until the one compaction below.
+        if self.config.simplify {
+            simplify(&mut out);
+        }
+        let (updated, mut mapping) = out.compact();
+        // `out` extends the input's arena; the node map speaks about the
+        // input's nodes only.
+        let input_len = tree.tree().arena_len();
+        mapping.retain(|old, _| old.index() < input_len);
+        let after = if self.config.simplify {
+            updated.memory_stats()
         } else {
             raw
         };
-        report.nodes_after = updated.num_nodes();
-        report.literals_after = updated.num_literals();
-        report.distinct_nodes_after = updated.memory_stats().distinct_nodes;
-        (updated, report, mapping)
+        report.nodes_after = after.logical_nodes;
+        report.literals_after = after.logical_literals;
+        report.distinct_nodes_after = after.distinct_nodes;
+        (updated, report, Some(mapping))
     }
 
     /// Like [`UpdateEngine::apply`], but enforces the configured
@@ -494,7 +498,7 @@ impl UpdateEngine {
         doc: &crate::Document,
         update: &ProbabilisticUpdate,
     ) -> crate::StagedStep {
-        let (tree, report, mapping) = self.apply_traced(doc.tree(), update, true);
+        let (tree, report, mapping) = self.apply_with_node_map(doc.tree(), update);
         crate::StagedStep {
             doc: doc.id(),
             base_epoch: doc.epoch(),

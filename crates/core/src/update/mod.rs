@@ -24,22 +24,31 @@
 //! everywhere (byte-identical output across runs), and negation chains
 //! order shared literals first to curb the Theorem 3 blow-up. Batched
 //! sequences are applied through an [`UpdateScript`] ([`script`]) with
-//! per-step size/literal telemetry, and each step can run the [`simplify`](mod@simplify)
-//! pass (cleaning, certain-event pruning, disjoint sibling-cover merging)
-//! to shrink deletion output. The methods on [`ProbabilisticUpdate`] below
-//! are thin compatibility wrappers over a default engine, cross-checked
-//! against the possible-world semantics by the `pxml_integration` property
-//! suite.
+//! per-step size/literal telemetry.
+//!
+//! Each step can end in the simplifier
+//! ([`UpdateEngineConfig::simplify`]): cleaning, certain-event pruning and
+//! disjoint sibling-cover merging, chained for at most four passes to
+//! shrink deletion output. The step is staged on one working copy of the
+//! tree: grafting and every simplifier pass rewrite it **in place**
+//! (conditions replaced, branches detached, copies appended), and the
+//! engine compacts it once at the end of the step. That compaction's
+//! old → new node map is the step's node map, from which
+//! [`Document`](crate::Document) diffs its
+//! [`UpdateDelta`](crate::UpdateDelta).
+//!
+//! The methods on [`ProbabilisticUpdate`] below are thin compatibility
+//! wrappers over a default engine, cross-checked against the
+//! possible-world semantics by the `pxml_integration` property suite.
 
 pub mod engine;
 pub mod script;
-pub mod simplify;
+mod simplify;
 
 pub use engine::{
     DeletionForecast, StepReport, SurvivorBudgetExceeded, UpdateEngine, UpdateEngineConfig,
 };
 pub use script::{ScriptReport, UpdateScript};
-pub use simplify::{simplify, simplify_with, simplify_with_in, SimplifyConfig, SimplifyReport};
 
 use pxml_events::EventId;
 use pxml_tree::{DataTree, NodeId};
@@ -188,10 +197,10 @@ impl ProbabilisticUpdate {
     ///
     /// Compatibility wrapper over a default [`UpdateEngine`] (deepest-first
     /// nested-target handling, deterministic output, simplification on).
-    /// Note that the default simplification includes
-    /// [`prune_certain`](crate::clean::prune_certain): when the input
-    /// carries `π(w) = 1` events, zero-probability branches anywhere in
-    /// the tree are pruned — the result agrees with
+    /// Note that the default simplification includes certain-event
+    /// pruning: when the input carries `π(w) = 1` events,
+    /// zero-probability branches anywhere in the tree are pruned — the
+    /// result agrees with
     /// [`apply_to_pw_set`](Self::apply_to_pw_set) up to normalization but
     /// is not necessarily *structurally* equivalent to what the naive
     /// algorithm would produce. Use

@@ -2,11 +2,11 @@
 //!
 //! Deletions blow prob-trees up (Theorem 3); this pass claws back what is
 //! recoverable without changing the (normalized) possible-world semantics,
-//! by chaining three reductions until a fixpoint (or `max_passes`):
+//! by chaining three reductions until a fixpoint (or `MAX_PASSES`):
 //!
 //! 1. [`clean`](crate::clean::clean) — drop literals implied by ancestors, prune inconsistent
 //!    branches (Section 3; preserves structural equivalence);
-//! 2. [`prune_certain`](crate::clean::prune_certain) — drop literals on `π(w) = 1` events and prune the
+//! 2. **prune-certain** — drop literals on `π(w) = 1` events and prune the
 //!    zero-probability branches they contradict (preserves the normalized
 //!    semantics only);
 //! 3. **sibling cover merging** — for each group of sibling copies whose
@@ -19,217 +19,79 @@
 //!    valuation produces the same multiset of child instances — this step
 //!    preserves structural equivalence, which is exactly why the survivor
 //!    copies a deletion scatters under one parent are its natural prey.
+//!
+//! Every pass rewrites the staged tree **in place**: conditions are
+//! replaced, pruned branches and merged copies are detached, and merge
+//! covers are appended as new copies. Nothing is compacted between
+//! passes — iteration and the size measures skip detached nodes — so the
+//! update engine compacts once per step, and that compaction's old → new
+//! map is the step's node map.
 
 use std::collections::{BTreeMap, HashMap};
 
-use pxml_events::{Condition, Dnf, Probability, Semiring};
+use pxml_events::{Condition, Dnf};
 use pxml_tree::{AnnotatedCanonInterner, NodeId};
 
-use crate::clean::{clean_traced, prune_certain_traced_in};
+use crate::clean::{clean_in_place, is_impossible, prune_certain};
 use crate::probtree::ProbTree;
 
-/// A node mapping across one rewrite, as threaded through the
-/// simplification chain: `None` is the identity, `Some(map)` sends each
-/// surviving pre-rewrite id to its post-rewrite id (absent ids were
-/// pruned). Rewrites only ever *append* arena nodes before compacting, so
-/// pre-existing ids are stable until the final compaction and maps compose
-/// by straight lookup.
-pub(crate) type NodeMapping = Option<HashMap<NodeId, NodeId>>;
+/// Upper bound on chained passes: merging children can make their
+/// parents mergeable in turn.
+const MAX_PASSES: usize = 4;
 
-/// Composes two node mappings: `first` (old → mid) then `second`
-/// (mid → new).
-pub(crate) fn compose_mappings(first: NodeMapping, second: NodeMapping) -> NodeMapping {
-    match (first, second) {
-        (None, second) => second,
-        (first, None) => first,
-        (Some(first), Some(second)) => Some(
-            first
-                .into_iter()
-                .filter_map(|(old, mid)| second.get(&mid).map(|&new| (old, new)))
-                .collect(),
-        ),
-    }
-}
+/// Cover merging is skipped for condition supports larger than this: the
+/// Shannon expansion is exponential in the support in the worst case.
+const MAX_MERGE_SUPPORT: usize = 20;
 
-/// Configuration of the [`simplify`] pass.
-#[derive(Clone, Debug)]
-pub struct SimplifyConfig {
-    /// Run [`clean`](crate::clean::clean) each pass (default: `true`).
-    pub clean: bool,
-    /// Run [`prune_certain`](crate::clean::prune_certain) each pass (default: `true`).
-    pub prune_certain: bool,
-    /// Merge sibling covers each pass (default: `true`).
-    pub merge_siblings: bool,
-    /// Skip cover merging for condition supports larger than this (the
-    /// Shannon expansion is exponential in the support in the worst case;
-    /// default: 20).
-    pub max_merge_support: usize,
-    /// Skip cover merging for sibling groups larger than this (the
-    /// pairwise disjointness test is quadratic in the group; default:
-    /// 1024).
-    pub max_merge_group: usize,
-    /// Upper bound on chained passes (default: 4 — merging children can
-    /// make their parents mergeable in turn).
-    pub max_passes: usize,
-}
+/// Cover merging is skipped for sibling groups larger than this: the
+/// pairwise disjointness test is quadratic in the group.
+const MAX_MERGE_GROUP: usize = 1024;
 
-impl Default for SimplifyConfig {
-    fn default() -> Self {
-        SimplifyConfig {
-            clean: true,
-            prune_certain: true,
-            merge_siblings: true,
-            max_merge_support: 20,
-            max_merge_group: 1024,
-            max_passes: 4,
-        }
-    }
-}
-
-/// Telemetry of one [`simplify_with`] run.
-#[derive(Clone, Debug, Default)]
-pub struct SimplifyReport {
-    /// Nodes before / after.
-    pub nodes_before: usize,
-    /// Literals before.
-    pub literals_before: usize,
-    /// Nodes after.
-    pub nodes_after: usize,
-    /// Literals after.
-    pub literals_after: usize,
-    /// Number of sibling groups replaced by a smaller cover.
-    pub merged_groups: usize,
-    /// Number of passes run (including the final no-change pass).
-    pub passes: usize,
-}
-
-impl SimplifyReport {
-    /// Size units saved (`|T|` before minus after).
-    pub fn savings(&self) -> usize {
-        (self.nodes_before + self.literals_before)
-            .saturating_sub(self.nodes_after + self.literals_after)
-    }
-}
-
-/// [`simplify_with`] under the default configuration, returning just the
-/// simplified tree.
-pub fn simplify(tree: &ProbTree) -> ProbTree {
-    simplify_with(tree, &SimplifyConfig::default()).0
-}
-
-/// Runs the simplification chain. The result has the same normalized
+/// Runs the simplification chain on `tree` in place and returns the
+/// number of sibling groups merged. The result has the same normalized
 /// possible-world semantics as the input (and is structurally equivalent
-/// to it whenever `prune_certain` is disabled or no `π(w) = 1` event
-/// exists).
-pub fn simplify_with(tree: &ProbTree, config: &SimplifyConfig) -> (ProbTree, SimplifyReport) {
-    let (tree, report, _) = simplify_traced(tree, config);
-    (tree, report)
-}
-
-/// [`simplify_with`] generalized over a [`Semiring`]: the prune-certain
-/// pass drops literals that are certain *in the semiring's sense*
-/// ([`Semiring::literal_certain`]) and the sibling-cover merge strips the
-/// same certain literals (and drops semiring-impossible disjuncts) from
-/// the covers it synthesizes. Under [`Probability`] this is exactly
-/// [`simplify_with`]; under a semiring with no certain literals (e.g.
-/// `Counting` or `Lineage`) the prune pass is the identity and covers are
-/// kept verbatim.
-pub fn simplify_with_in<S: Semiring>(
-    tree: &ProbTree,
-    config: &SimplifyConfig,
-    semiring: &S,
-) -> (ProbTree, SimplifyReport) {
-    let (tree, report, _) = simplify_traced_in(tree, config, semiring);
-    (tree, report)
-}
-
-/// [`simplify_with`] plus the composed node mapping from ids in `tree` to
-/// ids in the result (`None` = identity; absent ids were pruned). This is
-/// how the update engine reconstructs, after the fact, exactly which nodes
-/// the whole simplification chain removed or rewrote.
-pub(crate) fn simplify_traced(
-    tree: &ProbTree,
-    config: &SimplifyConfig,
-) -> (ProbTree, SimplifyReport, NodeMapping) {
-    simplify_traced_in(tree, config, &Probability)
-}
-
-/// [`simplify_traced`] over an arbitrary [`Semiring`] (see
-/// [`simplify_with_in`]).
-fn simplify_traced_in<S: Semiring>(
-    tree: &ProbTree,
-    config: &SimplifyConfig,
-    semiring: &S,
-) -> (ProbTree, SimplifyReport, NodeMapping) {
-    let mut report = SimplifyReport {
-        nodes_before: tree.num_nodes(),
-        literals_before: tree.num_literals(),
-        ..SimplifyReport::default()
-    };
-    let mut work = tree.clone();
-    let mut mapping: NodeMapping = None;
-    for _ in 0..config.max_passes.max(1) {
-        report.passes += 1;
-        let fingerprint = (work.num_nodes(), work.num_literals());
-        if config.clean {
-            let (next, step) = clean_traced(&work);
-            work = next;
-            mapping = compose_mappings(mapping, step);
-        }
-        if config.prune_certain {
-            let (next, step) = prune_certain_traced_in(&work, semiring);
-            work = next;
-            mapping = compose_mappings(mapping, step);
-        }
-        let mut merged = false;
-        if config.merge_siblings {
-            let (next, groups, step) = merge_sibling_covers_traced(&work, config, semiring);
-            merged = groups > 0;
-            report.merged_groups += groups;
-            work = next;
-            mapping = compose_mappings(mapping, step);
-        }
-        if !merged && (work.num_nodes(), work.num_literals()) == fingerprint {
+/// to it whenever no `π(w) = 1` event exists). Removed nodes are detached,
+/// not dropped: the caller compacts.
+pub(crate) fn simplify(tree: &mut ProbTree) -> usize {
+    let mut merged_groups = 0;
+    for _ in 0..MAX_PASSES {
+        let fingerprint = (tree.num_nodes(), tree.num_literals());
+        clean_in_place(tree);
+        prune_certain(tree);
+        let merged = merge_sibling_covers(tree);
+        merged_groups += merged;
+        if merged == 0 && (tree.num_nodes(), tree.num_literals()) == fingerprint {
             break;
         }
     }
-    report.nodes_after = work.num_nodes();
-    report.literals_after = work.num_literals();
-    (work, report, mapping)
+    merged_groups
 }
 
-/// One merging sweep over every parent node; returns the rewritten tree
-/// and the number of sibling groups replaced. Shared children are
-/// materialized first: grouping and replacement address arena nodes.
+/// One merging sweep over every parent node, in place; returns the number
+/// of sibling groups replaced. Shared children are materialized first:
+/// grouping and replacement address arena nodes.
 ///
-/// When `config.prune_certain` is set, synthesized cover disjuncts are
-/// post-processed with the semiring's notion of certainty — exactly what
-/// the next pass's prune-certain would do to them. Under [`Probability`]
-/// after a prune pass this is a no-op (no certain-event literal survives
-/// pruning, and the Shannon expansion only branches on mentioned events).
-fn merge_sibling_covers_traced<S: Semiring>(
-    tree: &ProbTree,
-    config: &SimplifyConfig,
-    semiring: &S,
-) -> (ProbTree, usize, NodeMapping) {
-    let tree = tree.expanded();
-    let tree = tree.as_ref();
-    let mut work = tree.clone();
+/// Synthesized cover disjuncts get the prune-certain rewrite up front —
+/// exactly what the next pass's prune-certain would do to them. After a
+/// prune pass this is a no-op (no certain-event literal survives pruning,
+/// and the Shannon expansion only branches on mentioned events).
+fn merge_sibling_covers(tree: &mut ProbTree) -> usize {
+    tree.expand_all();
     let mut merged_groups = 0usize;
     // Bare shape codes for every node of the pre-sweep tree, computed once
     // bottom-up; only pre-sweep nodes are ever grouped (copies introduced
     // by a merge are revisited by the next pass).
     let shapes = bare_shape_codes(tree);
-    let parents: Vec<NodeId> = work.tree().iter().collect();
+    let parents: Vec<NodeId> = tree.tree().iter().collect();
     for parent in parents {
         // A parent may itself have been detached by a merge higher up the
         // list (its whole group was replaced by fresh copies).
-        if !work.tree().is_attached(parent) {
+        if !tree.tree().is_attached(parent) {
             continue;
         }
         // Group the children by the shape of everything *except* their own
         // root condition — label, structure and the conditions below.
-        let children: Vec<NodeId> = work.tree().children(parent).to_vec();
+        let children: Vec<NodeId> = tree.tree().children(parent).to_vec();
         if children.len() < 2 {
             continue;
         }
@@ -238,14 +100,14 @@ fn merge_sibling_covers_traced<S: Semiring>(
             groups.entry(shapes[&child]).or_default().push(child);
         }
         for group in groups.values() {
-            if group.len() < 2 || group.len() > config.max_merge_group {
+            if group.len() < 2 || group.len() > MAX_MERGE_GROUP {
                 continue;
             }
             // Split the group into greedy cliques of pairwise mutually
             // exclusive root conditions (identical copies — e.g. two
             // equal-condition duplicates — are *not* disjoint and stay
             // untouched, as the multiset semantics requires).
-            let conditions: Vec<Condition> = group.iter().map(|&c| work.condition(c)).collect();
+            let conditions: Vec<Condition> = group.iter().map(|&c| tree.condition(c)).collect();
             let mut cliques: Vec<Vec<usize>> = Vec::new();
             for (i, cond) in conditions.iter().enumerate() {
                 let home = cliques.iter_mut().find(|clique| {
@@ -263,55 +125,39 @@ fn merge_sibling_covers_traced<S: Semiring>(
                     continue;
                 }
                 let dnf = Dnf::from_disjuncts(clique.iter().map(|&i| conditions[i].clone()));
-                let Some(cover) = dnf.minimized_disjoint_cover(config.max_merge_support) else {
+                let Some(cover) = dnf.minimized_disjoint_cover(MAX_MERGE_SUPPORT) else {
                     continue;
                 };
                 // Replace the clique: fresh copies of the (identical)
                 // subtree, one per cover disjunct, then drop the originals.
-                // With prune-certain enabled, apply its literal-level
-                // rewrite to each fresh disjunct up front: drop disjuncts
-                // containing a semiring-impossible literal, strip
-                // semiring-certain literals from the rest.
+                // Disjuncts with an impossible literal are dropped and
+                // certain literals stripped from the rest.
                 let template = group[clique[0]];
-                let disjuncts: Vec<Condition> = if config.prune_certain {
-                    let events = work.events();
-                    cover
-                        .disjuncts()
-                        .iter()
-                        .filter(|d| {
-                            !d.literals()
+                let events = tree.events();
+                let disjuncts: Vec<Condition> = cover
+                    .disjuncts()
+                    .iter()
+                    .filter(|d| !d.literals().iter().any(|&l| is_impossible(l, events)))
+                    .map(|d| {
+                        Condition::from_literals(
+                            d.literals()
                                 .iter()
-                                .any(|&l| semiring.is_zero(&semiring.literal(l, events)))
-                        })
-                        .map(|d| {
-                            Condition::from_literals(
-                                d.literals()
-                                    .iter()
-                                    .copied()
-                                    .filter(|&l| !semiring.literal_certain(l, events)),
-                            )
-                        })
-                        .collect()
-                } else {
-                    cover.disjuncts().to_vec()
-                };
+                                .copied()
+                                .filter(|&l| !is_impossible(l.negated(), events)),
+                        )
+                    })
+                    .collect();
                 for disjunct in disjuncts {
-                    work.duplicate_subtree(parent, template, disjunct);
+                    tree.duplicate_subtree(parent, template, disjunct);
                 }
                 for &i in &clique {
-                    work.detach(group[i]);
+                    tree.detach(group[i]);
                 }
                 merged_groups += 1;
             }
         }
     }
-    if merged_groups > 0 {
-        let (compacted, mapping) = work.compact();
-        (compacted, merged_groups, Some(mapping))
-    } else {
-        // No clique merged, so `work` was never mutated.
-        (work, 0, None)
-    }
+    merged_groups
 }
 
 /// Bare shape codes for every reachable node, computed in one bottom-up
@@ -351,6 +197,14 @@ mod tests {
     use crate::semantics::possible_worlds;
     use pxml_events::Literal;
 
+    /// Simplifies a copy of `t` in place; returns it with the number of
+    /// merged sibling groups.
+    fn simplify_copy(t: &ProbTree) -> (ProbTree, usize) {
+        let mut work = t.clone();
+        let merged = simplify(&mut work);
+        (work, merged)
+    }
+
     /// A complementary sibling pair `X∧w` / `X∧¬w` merges into a single
     /// `X` copy.
     #[test]
@@ -371,9 +225,9 @@ mod tests {
             Condition::from_literals([Literal::pos(x), Literal::neg(w)]),
         );
         t.add_child(b2, "D", Condition::of(Literal::pos(x)));
-        let (simplified, report) = simplify_with(&t, &SimplifyConfig::default());
-        assert_eq!(report.merged_groups, 1);
-        assert!(report.savings() > 0);
+        let (simplified, merged) = simplify_copy(&t);
+        assert_eq!(merged, 1);
+        assert!(simplified.size() < t.size());
         // One B copy left... whose D child then loses the x literal to
         // cleaning on the next pass (x is implied by the merged root).
         let b_count = simplified
@@ -393,8 +247,8 @@ mod tests {
         let root = t.tree().root();
         t.add_child(root, "B", Condition::of(Literal::pos(w)));
         t.add_child(root, "B", Condition::of(Literal::pos(w)));
-        let (simplified, report) = simplify_with(&t, &SimplifyConfig::default());
-        assert_eq!(report.merged_groups, 0);
+        let (simplified, merged) = simplify_copy(&t);
+        assert_eq!(merged, 0);
         assert_eq!(simplified.num_nodes(), 3);
     }
 
@@ -408,8 +262,8 @@ mod tests {
         let b1 = t.add_child(root, "B", Condition::of(Literal::pos(w)));
         t.add_child(b1, "D", Condition::always());
         t.add_child(root, "B", Condition::of(Literal::neg(w)));
-        let (simplified, report) = simplify_with(&t, &SimplifyConfig::default());
-        assert_eq!(report.merged_groups, 0);
+        let (simplified, merged) = simplify_copy(&t);
+        assert_eq!(merged, 0);
         assert_eq!(simplified.num_nodes(), t.num_nodes());
     }
 
@@ -428,11 +282,11 @@ mod tests {
             t.add_child(s, "B", Condition::of(Literal::pos(w)));
             t.add_child(s, "B", Condition::of(Literal::neg(w)));
         }
-        let (simplified, report) = simplify_with(&t, &SimplifyConfig::default());
+        let (simplified, merged) = simplify_copy(&t);
         // The S subtrees are already identical, so the pre-order sweep
         // merges the S pair first (into one unconditioned S); pass 2 then
         // merges the B pair inside the surviving copy.
-        assert_eq!(report.merged_groups, 2);
+        assert_eq!(merged, 2);
         assert_eq!(simplified.num_nodes(), 3, "A → S → B");
         assert_eq!(simplified.num_literals(), 0);
         assert!(structural_equivalent_exhaustive(&t, &simplified, 20).unwrap());
@@ -455,31 +309,12 @@ mod tests {
         t.add_child(root, "B", Condition::of(Literal::neg(w)));
         t.add_child(root, "C", Condition::of(Literal::neg(sure)));
         let before = possible_worlds(&t, 20).unwrap().normalized();
-        let (simplified, _) = simplify_with(&t, &SimplifyConfig::default());
+        let (simplified, _) = simplify_copy(&t);
         let after = possible_worlds(&simplified, 20).unwrap().normalized();
         assert!(before.isomorphic(&after));
         // `sure` dropped from B's condition, then the B pair merges; the
         // ¬sure branch is pruned.
         assert_eq!(simplified.num_nodes(), 2);
         assert_eq!(simplified.num_literals(), 0);
-    }
-
-    #[test]
-    fn disabled_passes_leave_the_tree_alone() {
-        let mut t = ProbTree::new("A");
-        let w = t.events_mut().insert("w", 0.5);
-        let root = t.tree().root();
-        t.add_child(root, "B", Condition::of(Literal::pos(w)));
-        t.add_child(root, "B", Condition::of(Literal::neg(w)));
-        let config = SimplifyConfig {
-            clean: false,
-            prune_certain: false,
-            merge_siblings: false,
-            ..SimplifyConfig::default()
-        };
-        let (simplified, report) = simplify_with(&t, &config);
-        assert_eq!(report.merged_groups, 0);
-        assert_eq!(report.passes, 1);
-        assert_eq!(simplified.num_nodes(), t.num_nodes());
     }
 }

@@ -104,9 +104,9 @@ pub trait Semiring {
 
     /// `true` iff the literal holds in every world of non-zero semiring
     /// mass — i.e. its negation annihilates. This is the semiring-generic
-    /// notion of certainty the update simplifier's `prune_certain` pass
-    /// keys on: under [`Probability`], `literal_certain(w)` iff
-    /// `π(w) = 1`.
+    /// notion of certainty: under [`Probability`], `literal_certain(w)`
+    /// iff `π(w) = 1`, the literals the update simplifier's certainty
+    /// pruning drops.
     fn literal_certain(&self, literal: Literal, events: &EventTable) -> bool {
         self.is_zero(&self.literal(literal.negated(), events))
     }

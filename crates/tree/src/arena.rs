@@ -256,9 +256,20 @@ impl DataTree {
     /// [`crate::subtree::SubDataTree`]), together with the mapping from old
     /// to new node ids.
     pub fn extract(&self, keep: &dyn Fn(NodeId) -> bool) -> (DataTree, HashMap<NodeId, NodeId>) {
+        self.extract_sized(keep, 0)
+    }
+
+    /// [`DataTree::extract`] with room for `capacity` nodes reserved in
+    /// the new arena and in the mapping.
+    fn extract_sized(
+        &self,
+        keep: &dyn Fn(NodeId) -> bool,
+        capacity: usize,
+    ) -> (DataTree, HashMap<NodeId, NodeId>) {
         assert!(keep(self.root), "extraction must keep the root");
         let mut out = DataTree::new(self.label(self.root));
-        let mut mapping = HashMap::new();
+        out.nodes.reserve_exact(capacity.saturating_sub(1));
+        let mut mapping = HashMap::with_capacity(capacity);
         mapping.insert(self.root, out.root());
         let mut stack = vec![self.root];
         while let Some(node) = stack.pop() {
@@ -275,9 +286,12 @@ impl DataTree {
     }
 
     /// Rebuilds the arena keeping only reachable nodes. Returns the new tree
-    /// and the old-id → new-id mapping.
+    /// and the old-id → new-id mapping. Both are sized to the reachable
+    /// node count up front: a compacted tree is usually kept, and growing
+    /// its arena by doubling would leave the freed smaller blocks
+    /// scattered among its allocations.
     pub fn compact(&self) -> (DataTree, HashMap<NodeId, NodeId>) {
-        self.extract(&|_| true)
+        self.extract_sized(&|_| true, self.len())
     }
 
     /// Deep structural clone of the subtree rooted at `node`, as an

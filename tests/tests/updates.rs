@@ -4,16 +4,18 @@
 //! nested-target and multi-match-same-target cases the pre-engine code got
 //! wrong, and the output must be run-to-run deterministic.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 
 use pxml_core::semantics::possible_worlds;
 use pxml_core::update::{
     ProbabilisticUpdate, UpdateEngine, UpdateEngineConfig, UpdateOperation, UpdateScript,
 };
-use pxml_core::{PatternQuery, ProbTree};
+use pxml_core::{Document, PatternQuery, ProbTree};
 use pxml_events::{Condition, EventId, Literal};
 use pxml_tree::builder::TreeSpec;
-use pxml_tree::DataTree;
+use pxml_tree::{DataTree, NodeId};
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -221,6 +223,35 @@ proptest! {
             .apply_to_pw_set(&possible_worlds(&tree, 16).unwrap())
             .normalized();
         prop_assert!(direct.isomorphic(&via_pw));
+    }
+
+    /// A committed delta's node map is a tree homomorphism from the
+    /// surviving old nodes into the new snapshot: injective, label- and
+    /// parent-preserving, onto reachable nodes, and its counts balance.
+    #[test]
+    fn delta_node_map_is_a_tree_homomorphism(
+        spec in probtree_strategy(),
+        update in update_strategy(),
+    ) {
+        let mut doc = Document::new(build_probtree(&spec));
+        let old = doc.snapshot();
+        let delta = UpdateEngine::new().apply_doc(&mut doc, &update);
+        let new = doc.snapshot();
+        let (old, new) = (old.tree(), new.tree());
+        if let Some(map) = &delta.node_map {
+            let images: HashSet<NodeId> = map.values().copied().collect();
+            prop_assert_eq!(images.len(), map.len(), "node map is not injective");
+        }
+        let reachable: HashSet<NodeId> = new.iter().collect();
+        let mut images = HashSet::new();
+        for o in old.iter() {
+            let Some(n) = delta.map_node(o) else { continue };
+            prop_assert!(images.insert(n), "two old nodes map to {:?}", n);
+            prop_assert!(reachable.contains(&n), "image {:?} is unreachable", n);
+            prop_assert_eq!(old.label(o), new.label(n));
+            prop_assert_eq!(old.parent(o).and_then(|p| delta.map_node(p)), new.parent(n));
+        }
+        prop_assert_eq!(old.len() - delta.nodes_removed + delta.nodes_inserted, new.len());
     }
 }
 
