@@ -187,7 +187,8 @@ fn bench_snapshot_pin(c: &mut Criterion) {
 }
 
 /// E16c: the commit path — stage under shared access, swap under the
-/// short writer lock, fan dirty flags — for an off-footprint insert.
+/// short writer lock, count the hub's views — for an off-footprint
+/// insert.
 fn bench_commit_path(c: &mut Criterion) {
     let sizes: &[usize] = if quick() { &[4, 8] } else { &[4, 8, 16, 32] };
     let mut group = c.benchmark_group("e16_warehouse_commit");

@@ -17,10 +17,7 @@ pub mod env {
     //! * [`SERVER_THREADS`] — worker-thread cap of the warehouse traffic
     //!   driver (`pxml-server`; `1` runs tenants sequentially);
     //! * [`SERVER_TENANTS`] — tenant (lane) count of the warehouse
-    //!   traffic driver;
-    //! * [`SERVER_LOG_CAPACITY`] — delta-log capacity of documents
-    //!   registered in a warehouse (how far behind a view may fall
-    //!   before maintenance falls back to a full re-prepare).
+    //!   traffic driver.
 
     use std::fmt;
     use std::str::FromStr;
@@ -31,8 +28,6 @@ pub mod env {
     pub const SERVER_THREADS: &str = "PXML_SERVER_THREADS";
     /// Tenant (lane) count of the warehouse traffic driver.
     pub const SERVER_TENANTS: &str = "PXML_SERVER_TENANTS";
-    /// Delta-log capacity of warehouse-registered documents.
-    pub const SERVER_LOG_CAPACITY: &str = "PXML_SERVER_LOG_CAPACITY";
 
     /// Why an environment override could not be read as a `T`.
     #[derive(Clone, Debug, PartialEq, Eq)]

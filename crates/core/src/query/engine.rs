@@ -145,22 +145,11 @@ impl QueryEngine {
     /// servable while the document moves on — and can be brought back up
     /// to date in place with [`PreparedQuery::maintain`].
     pub fn prepare_doc<'a>(&self, doc: &Document, query: &'a dyn Query) -> PreparedQuery<'a> {
-        self.prepare_doc_with_hints(doc, query, &QueryHints::default())
-    }
-
-    /// [`QueryEngine::prepare_doc`] with static-analysis [`QueryHints`]
-    /// (replayed on every maintenance fallback re-prepare).
-    pub fn prepare_doc_with_hints<'a>(
-        &self,
-        doc: &Document,
-        query: &'a dyn Query,
-        hints: &QueryHints,
-    ) -> PreparedQuery<'a> {
         build_prepared(
             self.config.clone(),
             TreeSlot::Shared(doc.snapshot()),
             QuerySlot::Borrowed(query),
-            hints,
+            &QueryHints::default(),
             Some((doc.id(), doc.epoch())),
         )
     }
@@ -176,22 +165,11 @@ impl QueryEngine {
         doc: &Document,
         query: Arc<dyn Query>,
     ) -> PreparedQuery<'static> {
-        self.prepare_doc_shared_with_hints(doc, query, &QueryHints::default())
-    }
-
-    /// [`QueryEngine::prepare_doc_shared`] with static-analysis
-    /// [`QueryHints`] (replayed on every maintenance fallback).
-    pub fn prepare_doc_shared_with_hints(
-        &self,
-        doc: &Document,
-        query: Arc<dyn Query>,
-        hints: &QueryHints,
-    ) -> PreparedQuery<'static> {
         build_prepared(
             self.config.clone(),
             TreeSlot::Shared(doc.snapshot()),
             QuerySlot::Shared(query),
-            hints,
+            &QueryHints::default(),
             Some((doc.id(), doc.epoch())),
         )
     }
@@ -213,23 +191,11 @@ fn build_prepared<'a>(
     } else {
         query.get().evaluate(tree.get().tree())
     };
-    let mut intern: HashMap<Condition, usize> = HashMap::new();
-    let mut conditions: Vec<Condition> = Vec::new();
-    let mut answers: Vec<AnswerState> = Vec::with_capacity(subtrees.len());
-    for subtree in subtrees {
+    let (answers, conditions) = intern_answers(subtrees.into_iter().map(|subtree| {
         let union =
             Condition::union_of(subtree.nodes().filter_map(|n| tree.get().condition_ref(n)));
-        let condition = match intern.entry(union) {
-            Entry::Occupied(slot) => *slot.get(),
-            Entry::Vacant(slot) => {
-                let index = conditions.len();
-                conditions.push(slot.key().clone());
-                slot.insert(index);
-                index
-            }
-        };
-        answers.push(AnswerState { subtree, condition });
-    }
+        (subtree, union)
+    }));
     let probabilities = std::iter::repeat_with(OnceLock::new)
         .take(conditions.len())
         .collect();
@@ -241,7 +207,6 @@ fn build_prepared<'a>(
         tree,
         query,
         footprint,
-        hints: hints.clone(),
         doc,
         maint: MaintainStats::default(),
         config,
@@ -252,6 +217,31 @@ fn build_prepared<'a>(
         by_subtree: OnceLock::new(),
         semiring: Mutex::new(SemiringCaches::default()),
     }
+}
+
+/// Interns answers' condition unions in the given answer order: equal
+/// unions share one slot, and slots are numbered by first occurrence.
+/// Returns the answer states and the distinct conditions.
+fn intern_answers(
+    answers: impl IntoIterator<Item = (SubDataTree, Condition)>,
+) -> (Vec<AnswerState>, Vec<Condition>) {
+    let answers = answers.into_iter();
+    let mut intern: HashMap<Condition, usize> = HashMap::new();
+    let mut conditions: Vec<Condition> = Vec::new();
+    let mut states: Vec<AnswerState> = Vec::with_capacity(answers.size_hint().0);
+    for (subtree, union) in answers {
+        let condition = match intern.entry(union) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let index = conditions.len();
+                conditions.push(slot.key().clone());
+                slot.insert(index);
+                index
+            }
+        };
+        states.push(AnswerState { subtree, condition });
+    }
+    (states, conditions)
 }
 
 /// One answer in the prepared state: its node set and the index of its
@@ -349,10 +339,10 @@ pub struct MaintainStats {
     pub unions_carried: usize,
     /// Answers remapped to new-frame node ids by patching.
     pub answers_remapped: usize,
-    /// Patches applied through a composed [`DeltaWindow`]
-    /// ([`PreparedQuery::maintain_windowed`]): the span's deltas counted
-    /// once in [`steps_patched`](MaintainStats::steps_patched) but
-    /// threaded in a single pass.
+    /// Patches applied through a caller-composed [`DeltaWindow`]
+    /// ([`PreparedQuery::maintain_windowed`]), i.e. a window shared with
+    /// other views; the span's deltas still count in
+    /// [`steps_patched`](MaintainStats::steps_patched).
     pub windows_applied: usize,
 }
 
@@ -440,8 +430,6 @@ pub struct PreparedQuery<'a> {
     /// The query's label footprint, computed once at prepare time — the
     /// label set [`PreparedQuery::maintain`] checks deltas against.
     footprint: Option<BTreeSet<String>>,
-    /// The hints preparation ran under, replayed by fallback re-prepares.
-    hints: QueryHints,
     /// Identity and epoch of the backing document (`None` for the legacy
     /// borrow-based entry points).
     doc: Option<(DocumentId, Epoch)>,
@@ -494,14 +482,14 @@ impl<'a> PreparedQuery<'a> {
 
     /// Brings document-backed prepared state up to date with `doc`,
     /// patching the match set, interned condition unions, probability
-    /// cache and document stamp in place — answer by answer through the
-    /// pending [`crate::UpdateDelta`]s — whenever every pending delta's
-    /// inserted/removed labels avoid the query's
-    /// [footprint](Query::label_footprint). Falls back to a full
-    /// re-prepare (against the current epoch, replaying the original
-    /// [`QueryHints`]) when the footprint is unbounded, a delta touches
-    /// it, or the delta log was trimmed; the state is up to date on
-    /// return either way.
+    /// cache and document stamp in place — the pending
+    /// [`crate::UpdateDelta`]s are composed into one [`DeltaWindow`]
+    /// ([`Document::window_since`]) and every answer is threaded through
+    /// it in a single pass — whenever the span's inserted/removed labels
+    /// avoid the query's [footprint](Query::label_footprint). Falls back
+    /// to a full re-prepare against the current epoch when the footprint
+    /// is unbounded, the span touches it, or the delta log was trimmed;
+    /// the state is up to date on return either way.
     ///
     /// Patched state is **indistinguishable** from a fresh prepare on the
     /// document's current tree: same answers in the same order, the same
@@ -509,194 +497,130 @@ impl<'a> PreparedQuery<'a> {
     /// [`SelectionStats`] on every subsequent selection (property-tested
     /// against the fresh-prepare oracle).
     pub fn maintain(&mut self, doc: &Document) -> Result<MaintainOutcome, MaintainError> {
-        let Some((id, epoch)) = self.doc else {
-            return Err(MaintainError::NotDocumentBacked);
-        };
-        if id != doc.id() {
-            return Err(MaintainError::DocumentMismatch);
-        }
-        if doc.epoch() < epoch {
-            return Err(MaintainError::EpochRewound);
-        }
-        if doc.epoch() == epoch {
+        let Some(epoch) = self.pending_since(doc)? else {
             return Ok(MaintainOutcome::UpToDate);
-        }
-        let Some(deltas) = doc.deltas_since(epoch) else {
-            return Ok(self.reprepare(doc, FallbackReason::LogTrimmed));
         };
-        let Some(footprint) = self.footprint.clone() else {
-            return Ok(self.reprepare(doc, FallbackReason::UnboundedFootprint));
-        };
-        // Phase 1 — plan: thread every answer's node set through every
-        // pending delta, tracking which answers had a condition rewritten
-        // along the way. Nothing is mutated yet, so a fallback mid-plan
-        // leaves the state consistent for `reprepare` to replace.
-        let mut node_sets: Vec<Vec<NodeId>> = self
-            .answers
-            .iter()
-            .map(|a| a.subtree.nodes().collect())
-            .collect();
-        let mut dirty = vec![false; self.answers.len()];
-        let mut steps = 0usize;
-        for delta in &deltas {
-            if delta.touches(&footprint) {
-                return Ok(self.reprepare(doc, FallbackReason::SpineTouched));
-            }
-            for (index, nodes) in node_sets.iter_mut().enumerate() {
-                for node in nodes.iter_mut() {
-                    match delta.map_node(*node) {
-                        Some(mapped) => *node = mapped,
-                        None => return Ok(self.reprepare(doc, FallbackReason::AnswerDisplaced)),
-                    }
-                }
-                if nodes.iter().any(|n| delta.rewritten.contains(n)) {
-                    dirty[index] = true;
-                }
-            }
-            steps += 1;
-        }
-        Ok(self.commit_patch(id, doc, node_sets, dirty, steps))
+        Ok(match doc.window_since(epoch) {
+            Some(window) => self.patch(doc, &window),
+            None => self.reprepare(doc, FallbackReason::LogTrimmed),
+        })
     }
 
     /// Like [`PreparedQuery::maintain`], but threads the answers through a
-    /// single pre-composed [`DeltaWindow`] instead of every pending delta
-    /// in turn — the warehouse hub composes each document's pending span
-    /// once and every registered view pays one pass, not one per delta.
-    /// Equivalent to `maintain` (per-delta node maps are injective, so a
-    /// window-composed map reaches the same node sets, and displaced or
-    /// dirty answers are classified identically); delegates to `maintain`
-    /// when the window does not span exactly this state's epoch range.
+    /// caller-composed [`DeltaWindow`] — the warehouse hub composes each
+    /// document's pending span once and every registered view reuses it,
+    /// instead of each view composing its own. Counts the window in
+    /// [`MaintainStats::windows_applied`] when it patches; delegates to
+    /// `maintain` when the window does not span exactly this state's
+    /// epoch range.
     pub fn maintain_windowed(
         &mut self,
         doc: &Document,
         window: &DeltaWindow,
     ) -> Result<MaintainOutcome, MaintainError> {
+        let Some(epoch) = self.pending_since(doc)? else {
+            return Ok(MaintainOutcome::UpToDate);
+        };
+        if window.from_epoch != epoch || window.to_epoch != doc.epoch() {
+            return self.maintain(doc);
+        }
+        let outcome = self.patch(doc, window);
+        if let MaintainOutcome::Patched { .. } = outcome {
+            self.maint.windows_applied += 1;
+        }
+        Ok(outcome)
+    }
+
+    /// The stamp checks shared by both maintenance entry points: the
+    /// state's epoch when `doc` has moved past it, `None` when the state
+    /// is already current.
+    fn pending_since(&self, doc: &Document) -> Result<Option<Epoch>, MaintainError> {
         let Some((id, epoch)) = self.doc else {
             return Err(MaintainError::NotDocumentBacked);
         };
         if id != doc.id() {
             return Err(MaintainError::DocumentMismatch);
         }
-        if doc.epoch() < epoch {
-            return Err(MaintainError::EpochRewound);
+        match doc.epoch().cmp(&epoch) {
+            Ordering::Less => Err(MaintainError::EpochRewound),
+            Ordering::Equal => Ok(None),
+            Ordering::Greater => Ok(Some(epoch)),
         }
-        if doc.epoch() == epoch {
-            return Ok(MaintainOutcome::UpToDate);
-        }
-        if window.from_epoch != epoch || window.to_epoch != doc.epoch() {
-            return self.maintain(doc);
-        }
-        let Some(footprint) = self.footprint.clone() else {
-            return Ok(self.reprepare(doc, FallbackReason::UnboundedFootprint));
-        };
-        if window.touches(&footprint) {
-            return Ok(self.reprepare(doc, FallbackReason::SpineTouched));
-        }
-        let mut node_sets: Vec<Vec<NodeId>> = self
-            .answers
-            .iter()
-            .map(|a| a.subtree.nodes().collect())
-            .collect();
-        let mut dirty = vec![false; self.answers.len()];
-        for (index, nodes) in node_sets.iter_mut().enumerate() {
-            for node in nodes.iter_mut() {
-                match window.map_node(*node) {
-                    Some(mapped) => *node = mapped,
-                    None => return Ok(self.reprepare(doc, FallbackReason::AnswerDisplaced)),
-                }
-            }
-            if nodes.iter().any(|n| window.rewritten.contains(n)) {
-                dirty[index] = true;
-            }
-        }
-        self.maint.windows_applied += 1;
-        Ok(self.commit_patch(id, doc, node_sets, dirty, window.steps))
     }
 
-    /// Phase 2 of maintenance — commit a remap plan: rebuild each answer
-    /// against the new snapshot. Clean answers keep their condition union
-    /// (and its cached probability — the union is over unchanged node
-    /// conditions, and the event table only ever grows, so the value is
-    /// bit-identical to what a fresh prepare would compute); dirty
-    /// answers recompute the union from the new tree.
-    fn commit_patch(
-        &mut self,
-        id: DocumentId,
-        doc: &Document,
-        node_sets: Vec<Vec<NodeId>>,
-        dirty: Vec<bool>,
-        steps: usize,
-    ) -> MaintainOutcome {
-        let snapshot = doc.snapshot();
-        struct Patched {
-            subtree: SubDataTree,
-            condition: Condition,
-            cached_probability: Option<f64>,
-            /// Old condition slot a clean answer carried its union from —
-            /// `None` for dirty answers, whose cached semiring values are
-            /// stale.
-            carried_from: Option<usize>,
+    /// Patches the state through `window`, which spans exactly this
+    /// state's epoch to the document's current one, or falls back to a
+    /// re-prepare.
+    ///
+    /// The plan (remap every answer's node set) mutates nothing, so a
+    /// fallback mid-plan leaves the state consistent for `reprepare` to
+    /// replace. The commit then rebuilds each answer against the new
+    /// snapshot. Clean answers keep their condition union (and its cached
+    /// probability — the union is over unchanged node conditions, and the
+    /// event table only ever grows, so the value is bit-identical to what
+    /// a fresh prepare would compute); answers with a rewritten node
+    /// recompute the union from the new tree.
+    fn patch(&mut self, doc: &Document, window: &DeltaWindow) -> MaintainOutcome {
+        let Some(footprint) = &self.footprint else {
+            return self.reprepare(doc, FallbackReason::UnboundedFootprint);
+        };
+        if window.touches(footprint) {
+            return self.reprepare(doc, FallbackReason::SpineTouched);
         }
-        let mut patched: Vec<Patched> = Vec::with_capacity(self.answers.len());
-        for (index, nodes) in node_sets.into_iter().enumerate() {
+        let mut node_sets: Vec<Vec<NodeId>> = Vec::with_capacity(self.answers.len());
+        for answer in &self.answers {
+            match answer.subtree.nodes().map(|n| window.map_node(n)).collect() {
+                Some(nodes) => node_sets.push(nodes),
+                None => return self.reprepare(doc, FallbackReason::AnswerDisplaced),
+            }
+        }
+        let snapshot = doc.snapshot();
+        // Each patched answer with the old condition slot a clean answer
+        // carries its union from — `None` for dirty answers, whose cached
+        // values are stale.
+        let mut patched: Vec<(SubDataTree, Condition, Option<usize>)> =
+            Vec::with_capacity(node_sets.len());
+        for (answer, nodes) in self.answers.iter().zip(node_sets) {
+            let dirty = nodes.iter().any(|n| window.rewritten.contains(n));
             let subtree = SubDataTree::from_nodes(snapshot.tree(), nodes);
-            let (condition, cached_probability, carried_from) = if dirty[index] {
+            if dirty {
                 self.maint.unions_rebuilt += 1;
                 let union =
                     Condition::union_of(subtree.nodes().filter_map(|n| snapshot.condition_ref(n)));
-                (union, None, None)
+                patched.push((subtree, union, None));
             } else {
                 self.maint.unions_carried += 1;
-                let slot = self.answers[index].condition;
-                (
-                    self.conditions[slot].clone(),
-                    self.probabilities[slot].get().copied(),
-                    Some(slot),
-                )
-            };
-            patched.push(Patched {
-                subtree,
-                condition,
-                cached_probability,
-                carried_from,
-            });
+                let slot = answer.condition;
+                patched.push((subtree, self.conditions[slot].clone(), Some(slot)));
+            }
         }
         // Re-sort and re-intern in the new answer order: `Query::evaluate`
         // returns answers in `SubDataTree` order, so this reproduces the
         // exact layout (answer order, interning order) of a fresh prepare.
         // Remapping is injective, so no two answers collapse.
-        patched.sort_by(|a, b| a.subtree.cmp(&b.subtree));
-        let mut intern: HashMap<Condition, usize> = HashMap::new();
-        let mut conditions: Vec<Condition> = Vec::new();
-        let mut probabilities: Vec<OnceLock<f64>> = Vec::new();
-        let mut answers: Vec<AnswerState> = Vec::with_capacity(patched.len());
-        // For each *new* condition slot, the old slot its cached semiring
-        // values may be carried from (first-writer wins, mirroring the
-        // `OnceLock::set` semantics of the f64 cache below).
-        let mut carry: Vec<Option<usize>> = Vec::new();
-        for p in patched {
-            let condition = match intern.entry(p.condition) {
-                Entry::Occupied(slot) => *slot.get(),
-                Entry::Vacant(slot) => {
-                    let index = conditions.len();
-                    conditions.push(slot.key().clone());
-                    probabilities.push(OnceLock::new());
-                    carry.push(None);
-                    slot.insert(index);
-                    index
-                }
-            };
-            if let Some(probability) = p.cached_probability {
-                let _ = probabilities[condition].set(probability);
+        patched.sort_by(|a, b| a.0.cmp(&b.0));
+        let carried_from: Vec<Option<usize>> = patched.iter().map(|p| p.2).collect();
+        let (answers, conditions) = intern_answers(
+            patched
+                .into_iter()
+                .map(|(subtree, condition, _)| (subtree, condition)),
+        );
+        // For each new condition slot, the old slot its cached values are
+        // carried from. Clean answers interned into one new slot all came
+        // from one old slot, because equal conditions share a slot.
+        let mut carry: Vec<Option<usize>> = vec![None; conditions.len()];
+        for (answer, from) in answers.iter().zip(carried_from) {
+            if from.is_some() {
+                carry[answer.condition] = from;
             }
-            if carry[condition].is_none() {
-                carry[condition] = p.carried_from;
-            }
-            answers.push(AnswerState {
-                subtree: p.subtree,
-                condition,
-            });
         }
+        let probabilities = carry
+            .iter()
+            .map(|from| {
+                from.and_then(|slot| self.probabilities[slot].get().copied())
+                    .map_or_else(OnceLock::new, OnceLock::from)
+            })
+            .collect();
         // Remap the per-semiring caches along the carry map: clean slots
         // move their computed values to the new layout, dirty or fresh
         // slots start empty. `take` is sound because equal conditions
@@ -724,7 +648,7 @@ impl<'a> PreparedQuery<'a> {
                 }
             }
         }
-        self.maint.steps_patched += steps;
+        self.maint.steps_patched += window.steps;
         self.maint.answers_remapped += answers.len();
         self.tie_keys = std::iter::repeat_with(OnceLock::new)
             .take(answers.len())
@@ -734,8 +658,10 @@ impl<'a> PreparedQuery<'a> {
         self.probabilities = probabilities;
         self.by_subtree = OnceLock::new();
         self.tree = TreeSlot::Shared(snapshot);
-        self.doc = Some((id, doc.epoch()));
-        MaintainOutcome::Patched { steps }
+        self.doc = Some((doc.id(), doc.epoch()));
+        MaintainOutcome::Patched {
+            steps: window.steps,
+        }
     }
 
     /// The maintenance fallback: rebuild everything against the
@@ -749,12 +675,11 @@ impl<'a> PreparedQuery<'a> {
             .get_mut()
             .expect("semiring cache poisoned")
             .stats;
-        let hints = self.hints.clone();
         *self = build_prepared(
             self.config.clone(),
             TreeSlot::Shared(doc.snapshot()),
             self.query.clone(),
-            &hints,
+            &QueryHints::default(),
             Some((doc.id(), doc.epoch())),
         );
         self.maint = maint;
@@ -1961,7 +1886,7 @@ mod tests {
         assert_agrees_with_fresh(&windowed, &doc, &q);
         assert_agrees_with_fresh(&stepped, &doc, &q);
         // A window that does not span this state's epoch range delegates
-        // to the per-delta path instead of mis-applying.
+        // to `maintain` instead of mis-applying.
         engine.apply_doc(&mut doc, &doc_insert("sku1", "memo", 0.6));
         assert_eq!(
             windowed.maintain_windowed(&doc, &window),

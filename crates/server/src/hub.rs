@@ -7,10 +7,12 @@
 //! the views of one [`Document`] and restores the obvious sharing:
 //!
 //! * a **commit** is observed once ([`MaintenanceHub::observe_commit`]):
-//!   the delta counter advances and a dirty flag is fanned out to every
-//!   view — no maintenance work happens on the write path;
+//!   the delta counter advances and the views it made stale are counted —
+//!   no per-view state is written and no maintenance work happens on the
+//!   write path;
 //! * a **read** ([`MaintenanceHub::serve`]) lazily brings just the
-//!   requested view current. The pending span is composed into one
+//!   requested view current when its epoch stamp is behind the
+//!   document's. The pending span is composed into one
 //!   [`DeltaWindow`] (cached, so concurrent readers of different views
 //!   compose it once) and threaded in a single pass via
 //!   [`PreparedQuery::maintain_windowed`] — a view that is `d` deltas
@@ -21,7 +23,7 @@
 //! pair, and `windows_composed` stays at one per distinct span.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use pxml_core::{DeltaWindow, Document, Epoch, PreparedQuery};
@@ -32,7 +34,9 @@ use pxml_core::{DeltaWindow, Document, Epoch, PreparedQuery};
 pub struct HubStats {
     /// Commits observed (one per committed epoch).
     pub deltas_observed: u64,
-    /// Dirty flags fanned out (= commits × views registered at the time).
+    /// Views made stale by commits (= commits × views registered at the
+    /// time). Counted only: a view's staleness is read off its epoch
+    /// stamp, so a commit writes nothing per view.
     pub flags_fanned: u64,
     /// Distinct pending spans composed into a [`DeltaWindow`]. Shared:
     /// views lagging by the same span reuse one composition.
@@ -77,12 +81,6 @@ impl std::ops::AddAssign for HubStats {
     }
 }
 
-/// One registered view: its prepared state and the commit-side dirty flag.
-struct ViewCell {
-    prepared: Mutex<PreparedQuery<'static>>,
-    dirty: AtomicBool,
-}
-
 /// The per-document maintenance hub. See the [module docs](self).
 ///
 /// The hub does not own the [`Document`]; callers pass the document into
@@ -91,7 +89,7 @@ struct ViewCell {
 /// epoch cannot advance mid-serve).
 #[derive(Default)]
 pub struct MaintenanceHub {
-    views: RwLock<BTreeMap<String, Arc<ViewCell>>>,
+    views: RwLock<BTreeMap<String, Arc<Mutex<PreparedQuery<'static>>>>>,
     /// The last composed window, keyed by its span — concurrent readers
     /// of different views lagging by the same span compose it once.
     window: Mutex<Option<(Epoch, Epoch, Arc<DeltaWindow>)>>,
@@ -114,13 +112,7 @@ impl MaintenanceHub {
         if views.contains_key(name) {
             return false;
         }
-        views.insert(
-            name.to_owned(),
-            Arc::new(ViewCell {
-                prepared: Mutex::new(prepared),
-                dirty: AtomicBool::new(false),
-            }),
-        );
+        views.insert(name.to_owned(), Arc::new(Mutex::new(prepared)));
         true
     }
 
@@ -134,21 +126,18 @@ impl MaintenanceHub {
             .collect()
     }
 
-    /// Records one committed delta: the write path only counts and fans
-    /// out dirty flags — all maintenance work is deferred to the reads
-    /// that actually happen.
+    /// Records one committed delta: the write path only counts the delta
+    /// and the views it made stale — all maintenance work is deferred to
+    /// the reads that actually happen.
     pub fn observe_commit(&self) {
         self.deltas_observed.fetch_add(1, Ordering::Relaxed);
-        let views = self.views.read().expect("hub views lock poisoned");
-        for cell in views.values() {
-            cell.dirty.store(true, Ordering::Release);
-            self.flags_fanned.fetch_add(1, Ordering::Relaxed);
-        }
+        let views = self.views.read().expect("hub views lock poisoned").len();
+        self.flags_fanned.fetch_add(views as u64, Ordering::Relaxed);
     }
 
-    /// Serves `view` against `doc`, bringing it current first if any
-    /// commit was observed since the view's epoch. Returns `None` for an
-    /// unknown view name.
+    /// Serves `view` against `doc`, bringing it current first if its
+    /// epoch stamp is behind the document's. Returns `None` for an unknown
+    /// view name.
     ///
     /// `doc` must be the document the view was prepared against, held so
     /// its epoch cannot advance during the call (the warehouse passes it
@@ -165,21 +154,19 @@ impl MaintenanceHub {
             .expect("hub views lock poisoned")
             .get(view)
             .cloned()?;
-        let mut prepared = cell.prepared.lock().expect("view lock poisoned");
-        let behind = prepared.document_stamp().map(|(_, e)| e) != Some(doc.epoch());
-        if cell.dirty.swap(false, Ordering::AcqRel) || behind {
-            self.maintain_view(doc, &mut prepared);
-        }
+        let mut prepared = cell.lock().expect("view lock poisoned");
+        self.maintain_view(doc, &mut prepared);
         Some(f(&prepared))
     }
 
-    /// Brings one view current through the shared composed window.
+    /// Brings one view current through the shared composed window; a
+    /// view whose stamp is at the document's epoch is left alone.
     fn maintain_view(&self, doc: &Document, prepared: &mut PreparedQuery<'static>) {
         let (_, from) = prepared
             .document_stamp()
             .expect("hub views are document-backed");
         if from == doc.epoch() {
-            return; // flag raced ahead of an identity span — nothing to do
+            return;
         }
         self.view_maintains.fetch_add(1, Ordering::Relaxed);
         match self.window_for(doc, from) {
@@ -222,7 +209,7 @@ impl MaintenanceHub {
         };
         let views = self.views.read().expect("hub views lock poisoned");
         for cell in views.values() {
-            let prepared = cell.prepared.lock().expect("view lock poisoned");
+            let prepared = cell.lock().expect("view lock poisoned");
             let maint = prepared.maintenance_stats();
             stats.windows_applied += maint.windows_applied as u64;
             stats.steps_patched += maint.steps_patched as u64;

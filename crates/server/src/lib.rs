@@ -13,9 +13,10 @@
 //!   `Arc<ProbTree>`, so readers pin an epoch and never block (and are
 //!   never torn) while writers stage expensive update work under shared
 //!   access and commit under a short exclusive swap;
-//! * [`MaintenanceHub`](hub) — per-document shared view maintenance: each
-//!   committed span is composed into **one**
-//!   [`pxml_core::DeltaWindow`] that every registered view threads in a
+//! * [`MaintenanceHub`](hub) — per-document shared view maintenance: a
+//!   commit only counts the views it made stale, and a read of a view
+//!   whose epoch stamp is behind composes the pending span into **one**
+//!   [`pxml_core::DeltaWindow`] that every lagging view threads in a
 //!   single pass, instead of `views × deltas` independent re-threads;
 //! * **scenario branches** ([`warehouse::Warehouse::branch`]) — O(1)
 //!   copy-on-write forks for what-if update scripts, with answer-level
@@ -24,9 +25,9 @@
 //!   seeded workload mix over a scoped-thread worker pool, reporting
 //!   throughput and p50/p95/p99 latencies.
 //!
-//! Tunables come from typed `PXML_SERVER_*` environment switches parsed
-//! by [`pxml_core::config::env`]: `PXML_SERVER_THREADS`,
-//! `PXML_SERVER_TENANTS` and `PXML_SERVER_LOG_CAPACITY`.
+//! The traffic driver's tunables come from typed `PXML_SERVER_*`
+//! environment switches parsed by [`pxml_core::config::env`]:
+//! `PXML_SERVER_THREADS` and `PXML_SERVER_TENANTS`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,7 +19,7 @@
 //! readers pin an epoch instead of blocking writers (and vice versa).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use pxml_core::query::Query;
 use pxml_core::update::{ProbabilisticUpdate, UpdateScript};
@@ -139,16 +139,6 @@ impl Warehouse {
         }
     }
 
-    /// A warehouse configured from the environment:
-    /// `PXML_SERVER_LOG_CAPACITY` overrides the delta-log capacity
-    /// (best-effort, like the world engine's `from_env`).
-    pub fn from_env() -> Self {
-        let capacity =
-            pxml_core::config::env::parse_lenient(pxml_core::config::env::SERVER_LOG_CAPACITY)
-                .unwrap_or(DEFAULT_DELTA_LOG_CAPACITY);
-        Warehouse::with_log_capacity(capacity)
-    }
-
     /// Registers `tree` as a fresh document under `name`.
     pub fn register(&self, name: &str, tree: ProbTree) -> Result<(), ServerError> {
         self.register_document(name, Document::with_log_capacity(tree, self.log_capacity))
@@ -218,7 +208,11 @@ impl Warehouse {
         update: &ProbabilisticUpdate,
     ) -> Result<Arc<UpdateDelta>, ServerError> {
         let cell = self.cell(name)?;
-        let _writer = cell.write.lock().expect("writer lock poisoned");
+        // The writer mutex guards no data (staging works on a private
+        // copy), so a commit that panicked while staging leaves nothing
+        // inconsistent behind: recover the lock instead of wedging every
+        // later commit to this document.
+        let _writer = cell.write.lock().unwrap_or_else(PoisonError::into_inner);
         let staged = {
             let doc = cell.doc.read().expect("document lock poisoned");
             self.update_engine.stage_doc(&doc, update)
@@ -245,9 +239,9 @@ impl Warehouse {
     }
 
     /// Registers a prepared view of `doc` under `view`, shared through
-    /// the document's maintenance hub: every subsequent commit marks it
-    /// dirty once, and reads bring it current through the hub's shared
-    /// composed delta window.
+    /// the document's maintenance hub: a commit leaves it behind the
+    /// document's epoch, and reads bring it current through the hub's
+    /// shared composed delta window.
     pub fn register_view(
         &self,
         doc: &str,
@@ -398,6 +392,7 @@ mod tests {
     use super::*;
     use pxml_core::update::UpdateOperation;
     use pxml_core::PatternQuery;
+    use pxml_tree::subtree::SubDataTree;
     use pxml_tree::DataTree;
     use pxml_workloads::warehouse::{services_with_endpoint_and_contact, skeleton};
 
@@ -509,6 +504,74 @@ mod tests {
             "one composed pass served both deltas"
         );
         assert_eq!(after.windows_composed, 1);
+    }
+
+    /// Each answer's node set and probability bits, in answer order.
+    fn answer_bits(prepared: &pxml_core::PreparedQuery<'_>) -> Vec<(SubDataTree, u64)> {
+        prepared
+            .answers()
+            .map(|a| (a.subtree, a.probability.to_bits()))
+            .collect()
+    }
+
+    /// Asserts that a hub-served read of view `q` of `doc` is
+    /// answer-for-answer a fresh prepare of the current snapshot.
+    fn assert_served_matches_fresh(warehouse: &Warehouse, query: &dyn Query) {
+        let served = warehouse.with_view("doc", "q", answer_bits).unwrap();
+        let snapshot = warehouse.snapshot("doc").unwrap();
+        let fresh = answer_bits(&QueryEngine::new().prepare(&snapshot.tree, query));
+        assert!(!fresh.is_empty());
+        assert_eq!(served, fresh);
+    }
+
+    #[test]
+    fn views_catch_up_past_a_trimmed_delta_log() {
+        let warehouse = Warehouse::with_log_capacity(1);
+        warehouse.register("doc", skeleton(2)).unwrap();
+        let query = Arc::new(services_with_endpoint_and_contact());
+        warehouse.register_view("doc", "q", query.clone()).unwrap();
+        warehouse
+            .commit("doc", &insert_under("service", "endpoint", 0.8))
+            .unwrap();
+        warehouse
+            .commit("doc", &insert_under("service", "contact", 0.7))
+            .unwrap();
+        warehouse
+            .commit("doc", &insert_under("service", "keyword", 0.6))
+            .unwrap();
+
+        // The log keeps only the last delta, so no window covers the
+        // view's epoch 0: the read re-prepares instead of patching.
+        assert_served_matches_fresh(&warehouse, query.as_ref());
+        let stats = warehouse.hub_stats("doc").unwrap();
+        assert_eq!(stats.fallbacks, 1);
+        assert_eq!(stats.windows_composed, 0);
+        assert_eq!(stats.view_maintains, 1);
+    }
+
+    #[test]
+    fn a_panicking_commit_does_not_wedge_the_write_path() {
+        let warehouse = Warehouse::new();
+        warehouse.register("doc", skeleton(2)).unwrap();
+        let query = Arc::new(services_with_endpoint_and_contact());
+        warehouse.register_view("doc", "q", query.clone()).unwrap();
+
+        // Deleting the root is unsupported: staging panics while the
+        // commit holds the document's writer lock.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            warehouse.commit("doc", &delete_at("warehouse", 0.5))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(warehouse.epoch("doc").unwrap(), 0);
+
+        let delta = warehouse
+            .commit("doc", &insert_under("service", "endpoint", 0.8))
+            .unwrap();
+        assert_eq!(delta.epoch, 1);
+        warehouse
+            .commit("doc", &insert_under("service", "contact", 0.7))
+            .unwrap();
+        assert_served_matches_fresh(&warehouse, query.as_ref());
     }
 
     #[test]
