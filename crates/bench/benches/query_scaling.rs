@@ -18,7 +18,9 @@
 //! Plus `e14_maintain_vs_reprepare` — the live-view access pattern of the
 //! warehouse scenario: the endpoint+contact monitoring query brought
 //! current after one extractor round, by a fresh prepare vs patching an
-//! incrementally maintained `PreparedQuery` (only that step is timed).
+//! incrementally maintained `PreparedQuery` (only that step is timed),
+//! next to the two halves of committing that round: staging it
+//! (`stage_doc`) and committing the staged step (`commit_staged`).
 //!
 //! Plus `e15_semiring_overhead` — the generic provenance path on the
 //! deletion blow-up family (retract/re-claim rounds grow `¬w` chains in
@@ -229,7 +231,10 @@ fn assert_maintenance_counters(services: usize, rounds: usize) {
 /// either by a fresh prepare of the committed document or by patching a
 /// live `PreparedQuery` that is one keyword round behind. Only that step
 /// (plus the `expected_matches` read) is timed: building the fixture and
-/// committing the round happen in untimed setup.
+/// committing the round happen in untimed setup. The `stage` and
+/// `commit` arms time the round's own commit, split where the warehouse
+/// splits it: staging the step against the document one round behind,
+/// and committing a step staged in untimed setup.
 fn bench_maintenance(c: &mut Criterion) {
     let (services, rounds) = if quick() { (8, 4) } else { (24, 10) };
     assert_maintenance_counters(services, rounds);
@@ -252,8 +257,38 @@ fn bench_maintenance(c: &mut Criterion) {
         (doc, prepared)
     };
     let (committed, _) = one_round_later();
+    let staged_round = || {
+        let doc = behind.fork();
+        let staged = update_engine.stage_doc(&doc, last);
+        (doc, staged)
+    };
+    // Untimed: the keyword round matches every service, and the
+    // simplifier has nothing to remove from an insertion.
+    let (mut doc, staged) = staged_round();
+    let report = &doc
+        .commit_staged(staged)
+        .expect("staged on this document")
+        .report;
+    assert_eq!(report.matches, services, "one keyword per service");
+    assert_eq!(
+        report.nodes_after, report.nodes_raw,
+        "insertions do not simplify"
+    );
 
     let mut group = c.benchmark_group("e14_maintain_vs_reprepare");
+    group.bench_function(format!("stage/{services}"), |b| {
+        b.iter(|| update_engine.stage_doc(&behind, last));
+    });
+    group.bench_function(format!("commit/{services}"), |b| {
+        b.iter_batched(
+            staged_round,
+            |(mut doc, staged)| {
+                let delta = doc.commit_staged(staged).expect("staged on this document");
+                (delta, doc)
+            },
+            BatchSize::SmallInput,
+        );
+    });
     group.bench_function(format!("prepare/{services}"), |b| {
         b.iter(|| {
             query_engine

@@ -347,13 +347,24 @@ fn e5_deletion_blowup() {
                 .filter(|&nd| t.tree().label(nd) == "B")
                 .count()
         };
+        let savings = simplified_report.simplification_savings();
+        assert_eq!(
+            naive.size() - savings,
+            controlled.size(),
+            "the simplification pass must recover the engine's cover from the naive output"
+        );
+        assert_eq!(
+            copies(&controlled),
+            1 + (1 << n),
+            "shared-first: 1 + 2^n copies"
+        );
         println!(
             "{n:>3} | {:>12} {:>12} | {:>14} {:>14} | {:>14}",
             naive.size(),
             copies(&naive),
             controlled.size(),
             copies(&controlled),
-            simplified_report.simplification_savings()
+            savings
         );
     }
     println!("(naive: 3^n survivor copies; engine: 1 + 2^n — the simplification pass finds the same cover starting from the naive output)\n");

@@ -13,6 +13,13 @@
 //! Figure 3 randomized equivalence algorithm. The update engine's
 //! simplifier runs the same pass in place, next to an in-place pruning of
 //! the branches that `π(w) = 1` events make impossible.
+//!
+//! The time is linear in the size of the tree (plus one table entry per
+//! event): one top-down walk keeps the literals of the current root path
+//! in a polarity table indexed by event. Each literal of a node is
+//! checked against the table in O(1); the ones the node keeps (none of
+//! which the path has yet) are added on the way down and removed on the
+//! way back up, and a pruned branch is never entered.
 
 use pxml_events::{Condition, EventTable, Literal};
 use pxml_tree::NodeId;
@@ -26,49 +33,76 @@ pub fn clean(tree: &ProbTree) -> ProbTree {
     work.compact().0
 }
 
-/// Cleans `tree` in place. Shared children are materialized first:
-/// cleaning rewrites conditions, which the immutable stored shapes do not
-/// support. Pruned nodes are detached, not dropped — they stay in the
-/// arena until the caller's next [`ProbTree::compact`].
-pub(crate) fn clean_in_place(tree: &mut ProbTree) {
+/// Cleans `tree` in place, in the one top-down walk of the module docs,
+/// and returns whether anything changed (a literal dropped or a branch
+/// pruned). Shared children are materialized first: cleaning rewrites
+/// conditions, which the immutable stored shapes do not support. Pruned
+/// nodes are detached, not dropped — they stay in the arena until the
+/// caller's next [`ProbTree::compact`].
+pub(crate) fn clean_in_place(tree: &mut ProbTree) -> bool {
     tree.expand_all();
+    // `on_path[w]` is the polarity of the path literal on event `w`.
+    let mut on_path: Vec<Option<bool>> = vec![None; tree.events().len()];
     let mut to_detach: Vec<NodeId> = Vec::new();
-
-    // Pre-order walk guarantees ancestors are processed before descendants,
-    // so ancestor conditions read below are already cleaned.
-    let nodes: Vec<NodeId> = tree.tree().iter().collect();
-    for node in nodes {
-        if node == tree.tree().root() {
+    let mut changed = false;
+    // `(node, leaving)` frames: a node is entered once and, when it adds
+    // literals to the path, left once its subtree is done.
+    let root = tree.tree().root();
+    let mut stack: Vec<(NodeId, bool)> = tree
+        .tree()
+        .children(root)
+        .iter()
+        .rev()
+        .map(|&c| (c, false))
+        .collect();
+    while let Some((node, leaving)) = stack.pop() {
+        let own = tree
+            .condition_ref(node)
+            .map_or(&[][..], Condition::literals);
+        if leaving {
+            for l in own {
+                on_path[l.event.index()] = None;
+            }
             continue;
         }
-        let ancestor = tree.ancestor_condition(node);
-        if !ancestor.is_consistent() {
-            // An ancestor is already impossible; this node can never exist.
+        let path = |l: Literal| on_path.get(l.event.index()).copied().flatten();
+        // Inconsistent in itself (sorted literals put `w` next to `¬w`) or
+        // contradicting the path: the node can never be present.
+        if own.windows(2).any(|w| w[0].event == w[1].event)
+            || own.iter().any(|&l| path(l) == Some(!l.positive))
+        {
             to_detach.push(node);
             continue;
         }
-        let own = tree.condition(node);
-        let mut kept: Vec<Literal> = Vec::new();
-        let mut inconsistent = !own.is_consistent();
-        for &literal in own.literals() {
-            if ancestor.literals().contains(&literal.negated()) {
-                // Contradicts an ancestor: the node can never be present.
-                inconsistent = true;
-                break;
+        // Literals the path already carries are superfluous.
+        if own.iter().any(|&l| path(l).is_some()) {
+            let kept: Vec<Literal> = own.iter().copied().filter(|&l| path(l).is_none()).collect();
+            enter(&mut on_path, &kept);
+            if !kept.is_empty() {
+                stack.push((node, true));
             }
-            if ancestor.literals().contains(&literal) {
-                // Superfluous: already guaranteed by the ancestor.
-                continue;
-            }
-            kept.push(literal);
-        }
-        if inconsistent {
-            to_detach.push(node);
-        } else {
             tree.set_condition(node, Condition::from_literals(kept));
+            changed = true;
+        } else if !own.is_empty() {
+            enter(&mut on_path, own);
+            stack.push((node, true));
         }
+        stack.extend(tree.tree().children(node).iter().rev().map(|&c| (c, false)));
     }
+    changed |= !to_detach.is_empty();
     detach_all(tree, to_detach);
+    changed
+}
+
+/// Adds `literals`, none of which is on the path yet, to the path table.
+fn enter(on_path: &mut Vec<Option<bool>>, literals: &[Literal]) {
+    for l in literals {
+        let i = l.event.index();
+        if i >= on_path.len() {
+            on_path.resize(i + 1, None);
+        }
+        on_path[i] = Some(l.positive);
+    }
 }
 
 /// Prunes, in place, the branches a **certain** event makes impossible and
@@ -82,16 +116,18 @@ pub(crate) fn clean_in_place(tree: &mut ProbTree) {
 /// quantifies over *all* valuations, including zero-probability ones),
 /// this pass only preserves the **normalized possible-world semantics**:
 /// it is part of the update engine's simplification chain, whose contract
-/// is agreement with `apply_to_pw_set` up to normalization.
-pub(crate) fn prune_certain(tree: &mut ProbTree) {
+/// is agreement with `apply_to_pw_set` up to normalization. Returns
+/// whether anything changed.
+pub(crate) fn prune_certain(tree: &mut ProbTree) -> bool {
     // Fresh confidence events are always < 1, so most trees have no
     // certain event at all — skip the scan and the expansion entirely.
     let events = tree.events();
     if events.iter().all(|e| events.prob(e) < 1.0) {
-        return;
+        return false;
     }
     tree.expand_all();
     let mut to_detach: Vec<NodeId> = Vec::new();
+    let mut changed = false;
     let nodes: Vec<NodeId> = tree.tree().iter().collect();
     for node in nodes {
         if node == tree.tree().root() {
@@ -114,9 +150,12 @@ pub(crate) fn prune_certain(tree: &mut ProbTree) {
             to_detach.push(node);
         } else if kept.len() != own.len() {
             tree.set_condition(node, Condition::from_literals(kept));
+            changed = true;
         }
     }
+    changed |= !to_detach.is_empty();
     detach_all(tree, to_detach);
+    changed
 }
 
 /// `true` when `literal` holds in no positive-probability world — the

@@ -314,21 +314,22 @@ impl UpdateEngine {
             expanded.as_ref()
         };
         let matches = update.operation.query.matches(tree.tree());
-        let nodes_before = tree.num_nodes();
-        let literals_before = tree.num_literals();
+        // One walk for every "before" counter; an unmatched step returns
+        // the input with its handles, so these are its final counts too.
+        let before = tree.memory_stats();
         let mut report = StepReport {
             matches: matches.len(),
             targets: 0,
             new_event: None,
-            nodes_before,
-            literals_before,
-            nodes_raw: nodes_before,
-            literals_raw: literals_before,
-            nodes_after: nodes_before,
-            literals_after: literals_before,
+            nodes_before: before.logical_nodes,
+            literals_before: before.logical_literals,
+            nodes_raw: before.logical_nodes,
+            literals_raw: before.logical_literals,
+            nodes_after: before.logical_nodes,
+            literals_after: before.logical_literals,
             survivor_copies: 0,
-            distinct_nodes_raw: nodes_before,
-            distinct_nodes_after: nodes_before,
+            distinct_nodes_raw: before.distinct_nodes,
+            distinct_nodes_after: before.distinct_nodes,
             entry_expansion_skipped: skip_entry,
         };
         if matches.is_empty() {
@@ -1063,6 +1064,36 @@ mod tests {
             );
         }
         tree
+    }
+
+    /// An unmatched step over a shared tree returns the input with its
+    /// handles: the report's distinct counts are the stored ones, not the
+    /// logical ones.
+    #[test]
+    fn unmatched_step_over_a_shared_tree_reports_distinct_nodes() {
+        let mut tree = pxml_workloads_free_theorem3(3);
+        let b = tree.tree().children(tree.tree().root())[0];
+        tree.add_child(b, "P", Condition::always());
+        let no_simplify = UpdateEngine::with_config(UpdateEngineConfig {
+            simplify: false,
+            ..UpdateEngineConfig::default()
+        });
+        let (shared, _) = no_simplify.apply(&tree, &d0(0.8));
+        let q = PatternQuery::new(Some("Z"));
+        let at = q.root();
+        let absent = ProbabilisticUpdate::new(
+            UpdateOperation::insert(q, at, pxml_tree::DataTree::new("E")),
+            0.9,
+        );
+        let (out, report) = no_simplify.apply(&shared, &absent);
+        assert!(report.entry_expansion_skipped);
+        assert_eq!(report.matches, 0);
+        let stats = out.memory_stats();
+        assert!(stats.distinct_nodes < stats.logical_nodes, "{stats:?}");
+        assert_eq!(report.nodes_after, stats.logical_nodes);
+        assert_eq!(report.literals_after, stats.logical_literals);
+        assert_eq!(report.distinct_nodes_raw, stats.distinct_nodes);
+        assert_eq!(report.distinct_nodes_after, stats.distinct_nodes);
     }
 
     fn d0(confidence: f64) -> ProbabilisticUpdate {

@@ -26,10 +26,23 @@
 //! passes — iteration and the size measures skip detached nodes — so the
 //! update engine compacts once per step, and that compaction's old → new
 //! map is the step's node map.
+//!
+//! The chain pays only for rewrites that can fire:
+//!
+//! * a merge needs two children with disjoint root conditions, hence a
+//!   literal on one whose negation another carries. The sweep gates each
+//!   parent on that (one sort of its children's root literals) and skips
+//!   the rest;
+//! * shape codes are computed lazily, for the children of gated parents
+//!   only, and full subtree codes are memoized for the sweep;
+//! * the chain stops on change flags: cleaning and prune-certain report
+//!   whether they dropped a literal or a node, and since both only
+//!   remove, a pass with no change and no merge is a fixpoint — no
+//!   whole-tree size walk is needed to notice it.
 
 use std::collections::{BTreeMap, HashMap};
 
-use pxml_events::{Condition, Dnf};
+use pxml_events::{Condition, Dnf, Literal};
 use pxml_tree::{AnnotatedCanonInterner, NodeId};
 
 use crate::clean::{clean_in_place, is_impossible, prune_certain};
@@ -55,12 +68,13 @@ const MAX_MERGE_GROUP: usize = 1024;
 pub(crate) fn simplify(tree: &mut ProbTree) -> usize {
     let mut merged_groups = 0;
     for _ in 0..MAX_PASSES {
-        let fingerprint = (tree.num_nodes(), tree.num_literals());
-        clean_in_place(tree);
-        prune_certain(tree);
+        let cleaned = clean_in_place(tree);
+        let pruned = prune_certain(tree);
         let merged = merge_sibling_covers(tree);
         merged_groups += merged;
-        if merged == 0 && (tree.num_nodes(), tree.num_literals()) == fingerprint {
+        // Clean and prune only remove literals or nodes, so a pass that
+        // reports no change left the tree exactly as it found it.
+        if merged == 0 && !cleaned && !pruned {
             break;
         }
     }
@@ -68,22 +82,26 @@ pub(crate) fn simplify(tree: &mut ProbTree) -> usize {
 }
 
 /// One merging sweep over every parent node, in place; returns the number
-/// of sibling groups replaced. Shared children are materialized first:
-/// grouping and replacement address arena nodes.
+/// of sibling groups replaced. Grouping and replacement address arena
+/// nodes: the sweep runs right after cleaning, which materialized every
+/// shared child (prune-certain adds none).
 ///
-/// Synthesized cover disjuncts get the prune-certain rewrite up front —
-/// exactly what the next pass's prune-certain would do to them. After a
-/// prune pass this is a no-op (no certain-event literal survives pruning,
-/// and the Shannon expansion only branches on mentioned events).
+/// Only parents passing [`has_complementary_literals`] are grouped, and
+/// shape codes are computed for their children alone. Only pre-sweep
+/// nodes are ever grouped (copies introduced by a merge are revisited by
+/// the next pass), and a merge only rewrites the child list of a parent
+/// the pre-order sweep has already left behind, so a code memoized early
+/// in the sweep stays valid to its end.
 fn merge_sibling_covers(tree: &mut ProbTree) -> usize {
-    tree.expand_all();
+    debug_assert!(!tree.has_shared(), "cleaning expands the tree");
     let mut merged_groups = 0usize;
-    // Bare shape codes for every node of the pre-sweep tree, computed once
-    // bottom-up; only pre-sweep nodes are ever grouped (copies introduced
-    // by a merge are revisited by the next pass).
-    let shapes = bare_shape_codes(tree);
+    let mut codes = ShapeCodes::default();
     let parents: Vec<NodeId> = tree.tree().iter().collect();
     for parent in parents {
+        let children = tree.tree().children(parent);
+        if children.len() < 2 || !has_complementary_literals(tree, children) {
+            continue;
+        }
         // A parent may itself have been detached by a merge higher up the
         // list (its whole group was replaced by fresh copies).
         if !tree.tree().is_attached(parent) {
@@ -91,103 +109,157 @@ fn merge_sibling_covers(tree: &mut ProbTree) -> usize {
         }
         // Group the children by the shape of everything *except* their own
         // root condition — label, structure and the conditions below.
-        let children: Vec<NodeId> = tree.tree().children(parent).to_vec();
-        if children.len() < 2 {
-            continue;
-        }
+        let children = children.to_vec();
         let mut groups: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-        for &child in &children {
-            groups.entry(shapes[&child]).or_default().push(child);
+        for child in children {
+            groups
+                .entry(codes.bare(tree, child))
+                .or_default()
+                .push(child);
         }
         for group in groups.values() {
-            if group.len() < 2 || group.len() > MAX_MERGE_GROUP {
-                continue;
-            }
-            // Split the group into greedy cliques of pairwise mutually
-            // exclusive root conditions (identical copies — e.g. two
-            // equal-condition duplicates — are *not* disjoint and stay
-            // untouched, as the multiset semantics requires).
-            let conditions: Vec<Condition> = group.iter().map(|&c| tree.condition(c)).collect();
-            let mut cliques: Vec<Vec<usize>> = Vec::new();
-            for (i, cond) in conditions.iter().enumerate() {
-                let home = cliques.iter_mut().find(|clique| {
-                    clique
-                        .iter()
-                        .all(|&j| cond.is_disjoint_with(&conditions[j]))
-                });
-                match home {
-                    Some(clique) => clique.push(i),
-                    None => cliques.push(vec![i]),
-                }
-            }
-            for clique in cliques {
-                if clique.len() < 2 {
-                    continue;
-                }
-                let dnf = Dnf::from_disjuncts(clique.iter().map(|&i| conditions[i].clone()));
-                let Some(cover) = dnf.minimized_disjoint_cover(MAX_MERGE_SUPPORT) else {
-                    continue;
-                };
-                // Replace the clique: fresh copies of the (identical)
-                // subtree, one per cover disjunct, then drop the originals.
-                // Disjuncts with an impossible literal are dropped and
-                // certain literals stripped from the rest.
-                let template = group[clique[0]];
-                let events = tree.events();
-                let disjuncts: Vec<Condition> = cover
-                    .disjuncts()
-                    .iter()
-                    .filter(|d| !d.literals().iter().any(|&l| is_impossible(l, events)))
-                    .map(|d| {
-                        Condition::from_literals(
-                            d.literals()
-                                .iter()
-                                .copied()
-                                .filter(|&l| !is_impossible(l.negated(), events)),
-                        )
-                    })
-                    .collect();
-                for disjunct in disjuncts {
-                    tree.duplicate_subtree(parent, template, disjunct);
-                }
-                for &i in &clique {
-                    tree.detach(group[i]);
-                }
-                merged_groups += 1;
-            }
+            merged_groups += merge_group(tree, parent, group);
         }
     }
     merged_groups
 }
 
-/// Bare shape codes for every reachable node, computed in one bottom-up
-/// sweep over the shared [`AnnotatedCanonInterner`] of `pxml_tree` — the
-/// same interner the hash-consed [`pxml_tree::NodeStore`] uses for its
-/// canonical codes, so one annotation convention serves both: inner
-/// nodes intern under `Some(γ)`, the node itself under `None` (the *bare*
-/// variant). Two nodes share a full code iff their subtrees are identical
-/// including every condition, and share a bare code iff they are
-/// identical except for their own root condition — which is what the
-/// merge rewrites, so children are grouped by bare code. Two children
-/// with equal bare codes produce identical world contents whenever their
-/// root conditions hold.
-fn bare_shape_codes(tree: &ProbTree) -> HashMap<NodeId, u32> {
-    let mut interner: AnnotatedCanonInterner<Condition> = AnnotatedCanonInterner::new();
-    let mut full: HashMap<NodeId, u32> = HashMap::new();
-    let mut bare: HashMap<NodeId, u32> = HashMap::new();
-    // Reverse pre-order visits children before their parents.
-    let order: Vec<NodeId> = tree.tree().iter().collect();
-    for &node in order.iter().rev() {
-        let child_codes: Vec<u32> = tree.tree().children(node).iter().map(|c| full[c]).collect();
-        let label = tree.tree().label(node);
-        let condition = tree.condition(node);
-        full.insert(
-            node,
-            interner.intern(label, Some(&condition), child_codes.clone()),
-        );
-        bare.insert(node, interner.intern(label, None, child_codes));
+/// The merge gate: `true` when one child of the group carries a root
+/// literal whose negation another one carries (or carries both itself).
+/// Two root conditions are disjoint only through such a pair, so a parent
+/// without one has no clique to merge. The sorted, deduplicated literals
+/// put `w` right next to `¬w`.
+fn has_complementary_literals(tree: &ProbTree, children: &[NodeId]) -> bool {
+    let mut literals: Vec<Literal> = children
+        .iter()
+        .filter_map(|&c| tree.condition_ref(c))
+        .flat_map(|c| c.literals().iter().copied())
+        .collect();
+    literals.sort_unstable();
+    literals.dedup();
+    literals.windows(2).any(|w| w[0].event == w[1].event)
+}
+
+/// Merges the cliques of one group of same-shape siblings under `parent`;
+/// returns the number of cliques replaced.
+///
+/// Synthesized cover disjuncts get the prune-certain rewrite up front —
+/// exactly what the next pass's prune-certain would do to them. After a
+/// prune pass this is a no-op (no certain-event literal survives pruning,
+/// and the Shannon expansion only branches on mentioned events).
+fn merge_group(tree: &mut ProbTree, parent: NodeId, group: &[NodeId]) -> usize {
+    if group.len() < 2 || group.len() > MAX_MERGE_GROUP {
+        return 0;
     }
-    bare
+    // Split the group into greedy cliques of pairwise mutually exclusive
+    // root conditions (identical copies — e.g. two equal-condition
+    // duplicates — are *not* disjoint and stay untouched, as the multiset
+    // semantics requires).
+    let conditions: Vec<Condition> = group.iter().map(|&c| tree.condition(c)).collect();
+    let mut cliques: Vec<Vec<usize>> = Vec::new();
+    for (i, cond) in conditions.iter().enumerate() {
+        let home = cliques.iter_mut().find(|clique| {
+            clique
+                .iter()
+                .all(|&j| cond.is_disjoint_with(&conditions[j]))
+        });
+        match home {
+            Some(clique) => clique.push(i),
+            None => cliques.push(vec![i]),
+        }
+    }
+    let mut merged = 0;
+    for clique in cliques {
+        if clique.len() < 2 {
+            continue;
+        }
+        let dnf = Dnf::from_disjuncts(clique.iter().map(|&i| conditions[i].clone()));
+        let Some(cover) = dnf.minimized_disjoint_cover(MAX_MERGE_SUPPORT) else {
+            continue;
+        };
+        // Replace the clique: fresh copies of the (identical) subtree, one
+        // per cover disjunct, then drop the originals. Disjuncts with an
+        // impossible literal are dropped and certain literals stripped
+        // from the rest.
+        let template = group[clique[0]];
+        let events = tree.events();
+        let disjuncts: Vec<Condition> = cover
+            .disjuncts()
+            .iter()
+            .filter(|d| !d.literals().iter().any(|&l| is_impossible(l, events)))
+            .map(|d| {
+                Condition::from_literals(
+                    d.literals()
+                        .iter()
+                        .copied()
+                        .filter(|&l| !is_impossible(l.negated(), events)),
+                )
+            })
+            .collect();
+        for disjunct in disjuncts {
+            tree.duplicate_subtree(parent, template, disjunct);
+        }
+        for &i in &clique {
+            tree.detach(group[i]);
+        }
+        merged += 1;
+    }
+    merged
+}
+
+/// Shape codes of one merge sweep, over the shared
+/// [`AnnotatedCanonInterner`] of `pxml_tree` — the same interner the
+/// hash-consed [`pxml_tree::NodeStore`] uses for its canonical codes, so
+/// one annotation convention serves both: inner nodes intern under
+/// `Some(γ)`, the node itself under `None` (the *bare* variant). Two nodes
+/// share a full code iff their subtrees are identical including every
+/// condition, and share a bare code iff they are identical except for
+/// their own root condition — which is what the merge rewrites, so
+/// children are grouped by bare code. Two children with equal bare codes
+/// produce identical world contents whenever their root conditions hold.
+///
+/// Codes are computed on demand: full codes are memoized per node, bare
+/// codes are asked for once per child of a gated parent.
+#[derive(Default)]
+struct ShapeCodes {
+    interner: AnnotatedCanonInterner<Condition>,
+    full: HashMap<NodeId, u32>,
+}
+
+impl ShapeCodes {
+    /// The bare code of `node`.
+    fn bare(&mut self, tree: &ProbTree, node: NodeId) -> u32 {
+        let child_codes: Vec<u32> = tree
+            .tree()
+            .children(node)
+            .iter()
+            .map(|&c| self.full(tree, c))
+            .collect();
+        self.interner
+            .intern(tree.tree().label(node), None, child_codes)
+    }
+
+    /// The full code of `node`, interning its subtree bottom-up as far as
+    /// no code is memoized yet.
+    fn full(&mut self, tree: &ProbTree, node: NodeId) -> u32 {
+        let mut stack = vec![(node, false)];
+        while let Some((n, ready)) = stack.pop() {
+            let children = tree.tree().children(n);
+            if ready {
+                let child_codes: Vec<u32> = children.iter().map(|c| self.full[c]).collect();
+                let code = self.interner.intern(
+                    tree.tree().label(n),
+                    Some(&tree.condition(n)),
+                    child_codes,
+                );
+                self.full.insert(n, code);
+            } else if !self.full.contains_key(&n) {
+                stack.push((n, true));
+                stack.extend(children.iter().map(|&c| (c, false)));
+            }
+        }
+        self.full[&node]
+    }
 }
 
 #[cfg(test)]
@@ -195,7 +267,9 @@ mod tests {
     use super::*;
     use crate::equivalence::structural_equivalent_exhaustive;
     use crate::semantics::possible_worlds;
-    use pxml_events::Literal;
+    use pxml_events::{EventId, Literal};
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     /// Simplifies a copy of `t` in place; returns it with the number of
     /// merged sibling groups.
@@ -203,6 +277,250 @@ mod tests {
         let mut work = t.clone();
         let merged = simplify(&mut work);
         (work, merged)
+    }
+
+    /// Bare shape codes for every reachable node, computed in one
+    /// bottom-up sweep: the whole-tree oracle of [`ShapeCodes`].
+    fn bare_shape_codes(tree: &ProbTree) -> HashMap<NodeId, u32> {
+        let mut interner: AnnotatedCanonInterner<Condition> = AnnotatedCanonInterner::new();
+        let mut full: HashMap<NodeId, u32> = HashMap::new();
+        let mut bare: HashMap<NodeId, u32> = HashMap::new();
+        // Reverse pre-order visits children before their parents.
+        let order: Vec<NodeId> = tree.tree().iter().collect();
+        for &node in order.iter().rev() {
+            let child_codes: Vec<u32> =
+                tree.tree().children(node).iter().map(|c| full[c]).collect();
+            let label = tree.tree().label(node);
+            let condition = tree.condition(node);
+            full.insert(
+                node,
+                interner.intern(label, Some(&condition), child_codes.clone()),
+            );
+            bare.insert(node, interner.intern(label, None, child_codes));
+        }
+        bare
+    }
+
+    /// The ungated reference sweep: every parent's children are grouped
+    /// by the whole-tree bare codes.
+    fn merge_sibling_covers_ungated(tree: &mut ProbTree) -> usize {
+        tree.expand_all();
+        let shapes = bare_shape_codes(tree);
+        let mut merged_groups = 0;
+        let parents: Vec<NodeId> = tree.tree().iter().collect();
+        for parent in parents {
+            if !tree.tree().is_attached(parent) {
+                continue;
+            }
+            let mut groups: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
+            for &child in tree.tree().children(parent) {
+                groups.entry(shapes[&child]).or_default().push(child);
+            }
+            for group in groups.values() {
+                merged_groups += merge_group(tree, parent, group);
+            }
+        }
+        merged_groups
+    }
+
+    /// The reference chain: the ungated sweep, stopped when a pass leaves
+    /// the tree's node and literal counts unchanged.
+    fn simplify_reference(tree: &mut ProbTree) -> usize {
+        let mut merged_groups = 0;
+        for _ in 0..MAX_PASSES {
+            let fingerprint = (tree.num_nodes(), tree.num_literals());
+            clean_in_place(tree);
+            prune_certain(tree);
+            let merged = merge_sibling_covers_ungated(tree);
+            merged_groups += merged;
+            if merged == 0 && (tree.num_nodes(), tree.num_literals()) == fingerprint {
+                break;
+            }
+        }
+        merged_groups
+    }
+
+    /// A random subtree shape: label, root literals and child shapes.
+    struct Shape {
+        label: &'static str,
+        literals: Vec<Literal>,
+        children: Vec<Shape>,
+    }
+
+    fn random_literal(rng: &mut StdRng, events: &[EventId]) -> Literal {
+        let event = events[rng.gen_range(0..events.len())];
+        if rng.gen_bool(0.5) {
+            Literal::pos(event)
+        } else {
+            Literal::neg(event)
+        }
+    }
+
+    /// Random child shapes: families of identical copies whose root
+    /// conditions split on one or two events (so merges can fire, also
+    /// nested), mixed with single children under random conditions.
+    fn random_children(rng: &mut StdRng, events: &[EventId], depth: usize) -> Vec<Shape> {
+        let mut out = Vec::new();
+        if depth == 0 {
+            return out;
+        }
+        for _ in 0..rng.gen_range(1..4usize) {
+            let label = ["B", "C", "D"][rng.gen_range(0..3usize)];
+            if rng.gen_bool(0.6) {
+                let split: Vec<EventId> = (0..rng.gen_range(1..3usize))
+                    .map(|_| events[rng.gen_range(0..events.len())])
+                    .collect();
+                let shared: Vec<Literal> = (0..rng.gen_range(0..2usize))
+                    .map(|_| random_literal(rng, events))
+                    .collect();
+                let inner = rng.gen_range(0..depth);
+                let seed = rng.next_u64();
+                for assignment in 0..1usize << split.len() {
+                    // Some cells of the split are left out.
+                    if assignment > 0 && rng.gen_bool(0.2) {
+                        continue;
+                    }
+                    let mut literals = shared.clone();
+                    for (bit, &event) in split.iter().enumerate() {
+                        literals.push(if assignment >> bit & 1 == 1 {
+                            Literal::pos(event)
+                        } else {
+                            Literal::neg(event)
+                        });
+                    }
+                    // The same seed regrows the same subtree for every copy.
+                    let mut copy_rng = StdRng::seed_from_u64(seed);
+                    let children = random_children(&mut copy_rng, events, inner);
+                    out.push(Shape {
+                        label,
+                        literals,
+                        children,
+                    });
+                }
+            } else {
+                let literals = (0..rng.gen_range(0..3usize))
+                    .map(|_| random_literal(rng, events))
+                    .collect();
+                let children = random_children(rng, events, depth - 1);
+                out.push(Shape {
+                    label,
+                    literals,
+                    children,
+                });
+            }
+        }
+        out
+    }
+
+    fn grow(t: &mut ProbTree, parent: NodeId, shapes: &[Shape]) {
+        for shape in shapes {
+            let node = t.add_child(
+                parent,
+                shape.label,
+                Condition::from_literals(shape.literals.iter().copied()),
+            );
+            grow(t, node, &shape.children);
+        }
+    }
+
+    fn random_probtree(seed: u64) -> ProbTree {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = ProbTree::new("A");
+        let mut events: Vec<EventId> = (0..4)
+            .map(|i| t.events_mut().insert(format!("w{i}"), 0.3 + 0.1 * i as f64))
+            .collect();
+        // Now and then a certain event, for prune-certain to act on.
+        if rng.gen_bool(0.3) {
+            events.push(t.events_mut().insert("sure", 1.0));
+        }
+        let shapes = random_children(&mut rng, &events, 3);
+        let root = t.tree().root();
+        grow(&mut t, root, &shapes);
+        t
+    }
+
+    /// The gated, lazily coded sweep with change-flag stops never loses
+    /// a merge: on random trees where merges fire it merges as many
+    /// groups as the ungated whole-tree reference, reaches the same size
+    /// and keeps the normalized possible worlds; its lazy codes partition
+    /// every gated parent's children exactly like the oracle codes.
+    #[test]
+    fn gated_sweep_matches_the_ungated_reference() {
+        let mut total_merged = 0;
+        for seed in 0..64 {
+            let t = random_probtree(seed);
+            let mut expanded = t.clone();
+            expanded.expand_all();
+            let oracle = bare_shape_codes(&expanded);
+            let mut codes = ShapeCodes::default();
+            for parent in expanded.tree().iter() {
+                let children = expanded.tree().children(parent);
+                if !has_complementary_literals(&expanded, children) {
+                    continue;
+                }
+                let lazy: Vec<u32> = children.iter().map(|&c| codes.bare(&expanded, c)).collect();
+                for (i, a) in children.iter().enumerate() {
+                    for (j, b) in children.iter().enumerate() {
+                        assert_eq!(lazy[i] == lazy[j], oracle[a] == oracle[b], "seed {seed}");
+                    }
+                }
+            }
+
+            let (gated, merged) = simplify_copy(&t);
+            let mut reference = t.clone();
+            let reference_merged = simplify_reference(&mut reference);
+            assert_eq!(merged, reference_merged, "seed {seed}");
+            assert_eq!(gated.num_nodes(), reference.num_nodes(), "seed {seed}");
+            assert_eq!(
+                gated.num_literals(),
+                reference.num_literals(),
+                "seed {seed}"
+            );
+            let worlds = |t: &ProbTree| possible_worlds(t, 20).unwrap().normalized();
+            assert!(
+                worlds(&gated).isomorphic(&worlds(&reference)),
+                "seed {seed}"
+            );
+            assert!(worlds(&gated).isomorphic(&worlds(&t)), "seed {seed}");
+            total_merged += merged;
+        }
+        assert!(total_merged >= 64, "merges fire: {total_merged}");
+    }
+
+    /// The gate is per parent: a root whose children carry no literal is
+    /// skipped, while the complementary pairs below it still merge.
+    #[test]
+    fn gated_out_parent_still_merges_inner_pairs() {
+        let mut t = ProbTree::new("A");
+        let w = t.events_mut().insert("w", 0.5);
+        let root = t.tree().root();
+        for _ in 0..2 {
+            let s = t.add_child(root, "S", Condition::always());
+            t.add_child(s, "B", Condition::of(Literal::pos(w)));
+            t.add_child(s, "B", Condition::of(Literal::neg(w)));
+        }
+        assert!(!has_complementary_literals(&t, t.tree().children(root)));
+        let (simplified, merged) = simplify_copy(&t);
+        assert_eq!(merged, 2);
+        assert_eq!(simplified.num_nodes(), 5, "A → 2 × (S → B)");
+        assert_eq!(simplified.num_literals(), 0);
+        assert!(structural_equivalent_exhaustive(&t, &simplified, 20).unwrap());
+    }
+
+    /// Complementary literals open the gate, but siblings of different
+    /// labels are never grouped together, so nothing merges.
+    #[test]
+    fn complementary_literals_on_different_labels_do_not_merge() {
+        let mut t = ProbTree::new("A");
+        let w = t.events_mut().insert("w", 0.5);
+        let root = t.tree().root();
+        t.add_child(root, "B", Condition::of(Literal::pos(w)));
+        t.add_child(root, "C", Condition::of(Literal::neg(w)));
+        assert!(has_complementary_literals(&t, t.tree().children(root)));
+        let (simplified, merged) = simplify_copy(&t);
+        assert_eq!(merged, 0);
+        assert_eq!(simplified.num_nodes(), 3);
+        assert_eq!(simplified.num_literals(), 2);
     }
 
     /// A complementary sibling pair `X∧w` / `X∧¬w` merges into a single
