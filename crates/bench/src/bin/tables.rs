@@ -784,6 +784,16 @@ fn e13_dedup_storage() {
         let tree = theorem3_tree(n);
         let (out, _) = engine.apply(&tree, &d0_deletion(0.8));
         let stats = out.memory_stats();
+        assert_eq!(
+            stats.distinct_nodes,
+            n + 2,
+            "hash-consing: distinct stored nodes stay n + 2"
+        );
+        assert_eq!(
+            stats.logical_nodes,
+            (1 << n) + n + 2,
+            "survivor copies: logical nodes grow as 2^n + n + 2"
+        );
         println!(
             "{n:>3} | {:>14} {:>14} {:>12} | {:>12.2}",
             stats.logical_nodes,

@@ -31,9 +31,14 @@
 //!   in first, so the logical child order (arena then shared) always
 //!   equals the temporal insertion order — expansions render byte-
 //!   identically to deep copies;
-//! * the store's refcounts count one reference per handle plus one per
-//!   stored parent occurrence; [`ProbTree::compact`] garbage-collects
-//!   dead shapes by re-interning the reachable ones into a fresh store.
+//! * the store is append-only: duplication interns into it and fault-in
+//!   leaves it as it is, so [`ProbTree::compact`] is its only collector —
+//!   it re-interns the shapes reachable from attached handles into a fresh
+//!   store;
+//! * a tree that has not duplicated since its last compaction has an empty
+//!   handle map, so [`ProbTree::has_shared`] and [`ProbTree::expand_all`]
+//!   return at once on fully materialized trees. Handles under detached
+//!   nodes stay in the map until compaction, so a non-empty map is walked.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -59,16 +64,13 @@ pub struct SharedChild {
 pub struct MemoryStats {
     /// Nodes of the logical tree (what [`ProbTree::num_nodes`] reports).
     pub logical_nodes: usize,
-    /// Physically stored nodes: attached arena nodes plus distinct live
-    /// shapes reachable from the handles.
+    /// Physically stored nodes: attached arena nodes plus distinct shapes
+    /// reachable from the handles.
     pub distinct_nodes: usize,
     /// Literals of the logical tree ([`ProbTree::num_literals`]).
     pub logical_literals: usize,
     /// Shared occurrences (total handle count under reachable nodes).
     pub shared_occurrences: usize,
-    /// Live shapes in the node store (reachable handles' shapes plus any
-    /// garbage awaiting [`ProbTree::compact`]).
-    pub store_live_shapes: usize,
 }
 
 impl MemoryStats {
@@ -225,15 +227,16 @@ impl ProbTree {
         node: NodeId,
         root_conditions: &[Condition],
     ) {
-        let shape = self.intern_subtree_shape(node);
+        // The walk reads the tree while it writes the store, so the store
+        // is moved out for its duration.
+        let mut store = std::mem::take(&mut self.store);
+        let shape = self.intern_shape(node, &mut store, &mut |_, s| s);
+        self.store = store;
         let entries = self.handles.entry(parent).or_default();
-        for condition in root_conditions {
-            self.store.retain(shape);
-            entries.push(SharedChild {
-                shape,
-                condition: condition.clone(),
-            });
-        }
+        entries.extend(root_conditions.iter().map(|condition| SharedChild {
+            shape,
+            condition: condition.clone(),
+        }));
     }
 
     /// The deep-copy variant of [`ProbTree::duplicate_subtree`], kept as
@@ -283,28 +286,30 @@ impl ProbTree {
         new_root
     }
 
-    /// Interns the (arena + shared) subtree rooted at `node` as a *bare*
-    /// shape: inner nodes carry `Some(γ)` (`Some(always)` when empty), the
-    /// root carries `None` so occurrences can attach their own condition.
-    fn intern_subtree_shape(&mut self, node: NodeId) -> ShapeId {
+    /// Interns the (arena + shared) subtree rooted at `node` into `store`
+    /// as a *bare* shape, in one post-order walk: inner nodes carry `Some(γ)`
+    /// (`Some(always)` when empty), the root carries `None` so occurrences
+    /// can attach their own condition, and each handle becomes a full
+    /// child shape by pushing its condition down onto its stored root.
+    /// `translate` maps a handle's shape into `store`: the identity when
+    /// `store` holds this tree's own shapes, [`reintern_shape`] otherwise.
+    fn intern_shape(
+        &self,
+        node: NodeId,
+        store: &mut NodeStore<Condition>,
+        translate: &mut dyn FnMut(&mut NodeStore<Condition>, ShapeId) -> ShapeId,
+    ) -> ShapeId {
         let mut stack = vec![(node, false)];
         let mut results: Vec<ShapeId> = Vec::new();
         while let Some((n, expanded)) = stack.pop() {
             if expanded {
                 let arity = self.tree.children(n).len();
                 let mut children: Vec<ShapeId> = results.split_off(results.len() - arity);
-                // Shared children follow the arena children, converted to
-                // full shapes by pushing the handle condition down onto
-                // the stored root.
-                if let Some(entries) = self.handles.get(&n) {
-                    let converted: Vec<(ShapeId, Condition)> = entries
-                        .iter()
-                        .map(|h| (h.shape, h.condition.clone()))
-                        .collect();
-                    for (shape, condition) in converted {
-                        let weight = condition.len();
-                        children.push(self.store.with_ann(shape, Some(condition), weight));
-                    }
+                // Shared children follow the arena children.
+                for h in self.shared_children(n) {
+                    let bare = translate(store, h.shape);
+                    let weight = h.condition.len();
+                    children.push(store.with_ann(bare, Some(h.condition.clone()), weight));
                 }
                 let (ann, weight) = if n == node {
                     (None, 0)
@@ -313,8 +318,7 @@ impl ProbTree {
                     let weight = c.len();
                     (Some(c), weight)
                 };
-                let label = self.tree.label(n).to_string();
-                results.push(self.store.intern(&label, ann, weight, &children));
+                results.push(store.intern(self.tree.label(n), ann, weight, &children));
             } else {
                 stack.push((n, true));
                 for &child in self.tree.children(n).iter().rev() {
@@ -331,7 +335,7 @@ impl ProbTree {
     pub fn detach(&mut self, node: NodeId) {
         self.tree.detach(node);
         // Conditions and handles of detached nodes become garbage; they
-        // are dropped (and their shapes released) on the next `compact`.
+        // are dropped on the next `compact`.
     }
 
     /// Number of **logical** nodes: reachable arena nodes plus the full
@@ -439,10 +443,10 @@ impl ProbTree {
     }
 
     /// Rebuilds the prob-tree with a compact arena (dropping detached
-    /// nodes) and a garbage-collected node store (reachable shapes are
-    /// re-interned; dead ones are dropped). Conditions and handles are
-    /// carried over. Returns the new prob-tree and the old→new node
-    /// mapping.
+    /// nodes) and a fresh node store holding only the shapes reachable
+    /// from attached handles — the append-only store's collector.
+    /// Conditions and handles are carried over. Returns the new prob-tree
+    /// and the old→new node mapping.
     pub fn compact(&self) -> (ProbTree, HashMap<NodeId, NodeId>) {
         let (tree, mapping) = self.tree.compact();
         let mut conditions = HashMap::new();
@@ -463,13 +467,9 @@ impl ProbTree {
                 }
                 let moved: Vec<SharedChild> = entries
                     .iter()
-                    .map(|h| {
-                        let shape = reintern_shape(&self.store, &mut store, &mut memo, h.shape);
-                        store.retain(shape);
-                        SharedChild {
-                            shape,
-                            condition: h.condition.clone(),
-                        }
+                    .map(|h| SharedChild {
+                        shape: reintern_shape(&self.store, &mut store, &mut memo, h.shape),
+                        condition: h.condition.clone(),
                     })
                     .collect();
                 handles.insert(*new, moved);
@@ -499,16 +499,20 @@ impl ProbTree {
         &self.store
     }
 
-    /// Whether any reachable node has shared children.
+    /// Whether any reachable node has shared children. O(1) when the
+    /// handle map is empty, as on every fully materialized tree.
     pub fn has_shared(&self) -> bool {
-        self.tree
-            .iter()
-            .any(|n| self.handles.get(&n).is_some_and(|hs| !hs.is_empty()))
+        !self.handles.is_empty()
+            && self
+                .tree
+                .iter()
+                .any(|n| self.handles.get(&n).is_some_and(|hs| !hs.is_empty()))
     }
 
     /// Materializes the shared children of `node` as arena nodes (in
-    /// handle order, after the existing arena children), releasing their
-    /// shapes. No-op for nodes without handles.
+    /// handle order, after the existing arena children). The shapes stay
+    /// in the store until the next [`ProbTree::compact`]. No-op for nodes
+    /// without handles.
     pub fn fault_in(&mut self, node: NodeId) {
         let Some(entries) = self.handles.remove(&node) else {
             return;
@@ -527,7 +531,6 @@ impl ProbTree {
             if !h.condition.is_empty() {
                 conditions.insert(new_root, h.condition);
             }
-            self.store.release(h.shape);
         }
     }
 
@@ -540,7 +543,11 @@ impl ProbTree {
     }
 
     /// Fully materializes the tree: faults in every reachable handle.
+    /// O(1) when the handle map is empty.
     pub fn expand_all(&mut self) {
+        if self.handles.is_empty() {
+            return;
+        }
         let root = self.tree.root();
         self.fault_in_subtree(root);
     }
@@ -614,7 +621,6 @@ impl ProbTree {
             distinct_nodes: arena_nodes + distinct_shapes,
             logical_literals,
             shared_occurrences,
-            store_live_shapes: self.store.num_live(),
         }
     }
 
@@ -625,37 +631,9 @@ impl ProbTree {
     /// them; see [`corpus_memory_stats`].
     pub fn intern_into(&self, store: &mut NodeStore<Condition>) -> ShapeId {
         let mut memo: HashMap<ShapeId, ShapeId> = HashMap::new();
-        let mut stack = vec![(self.tree.root(), false)];
-        let mut results: Vec<ShapeId> = Vec::new();
-        while let Some((n, expanded)) = stack.pop() {
-            if expanded {
-                let arity = self.tree.children(n).len();
-                let mut children: Vec<ShapeId> = results.split_off(results.len() - arity);
-                if let Some(entries) = self.handles.get(&n) {
-                    for h in entries {
-                        let bare = reintern_shape(&self.store, store, &mut memo, h.shape);
-                        let weight = h.condition.len();
-                        children.push(store.with_ann(bare, Some(h.condition.clone()), weight));
-                    }
-                }
-                let (ann, weight) = if n == self.tree.root() {
-                    (None, 0)
-                } else {
-                    let c = self.condition(n);
-                    let weight = c.len();
-                    (Some(c), weight)
-                };
-                results.push(store.intern(self.tree.label(n), ann, weight, &children));
-            } else {
-                stack.push((n, true));
-                for &child in self.tree.children(n).iter().rev() {
-                    stack.push((child, false));
-                }
-            }
-        }
-        results
-            .pop()
-            .expect("document interning produces a root shape")
+        self.intern_shape(self.tree.root(), store, &mut |dst, s| {
+            reintern_shape(&self.store, dst, &mut memo, s)
+        })
     }
 
     /// Validates the representation invariants of the prob-tree,
@@ -671,11 +649,10 @@ impl ProbTree {
     /// * condition support ⊆ declared events — every literal references
     ///   an event the table declares;
     /// * probability mass bounds — `π(w) ∈ (0, 1]` for every event;
-    /// * DAG-store consistency — every handle references a live **bare**
+    /// * DAG-store consistency — every handle references a stored **bare**
     ///   shape whose conditions reference declared events, and the store
-    ///   itself passes [`NodeStore::validate`] (acyclicity, refcounts
-    ///   matching the handle census, cached sizes, and agreement of the
-    ///   cached canonical codes with a from-scratch canonization).
+    ///   itself passes [`NodeStore::validate`] (acyclicity, cached sizes
+    ///   and weights, interner agreement).
     ///
     /// Intended for `debug_assert!`-style use in tests and property
     /// suites; it walks the whole tree, so hot paths should not call it.
@@ -725,42 +702,33 @@ impl ProbTree {
                 ));
             }
         }
-        // DAG-store checks. Handles under detached nodes legitimately
-        // linger until `compact`, but they still hold references, so the
-        // external census covers *every* handle entry.
-        let mut external: HashMap<ShapeId, usize> = HashMap::new();
-        for entries in self.handles.values() {
-            for h in entries {
-                if !self.store.is_live(h.shape) {
-                    return Err(format!("handle references dead shape {}", h.shape));
-                }
-                if self.store.ann(h.shape).is_some() {
-                    return Err(format!(
-                        "handle shape {} is not bare (stored root carries a condition)",
-                        h.shape
-                    ));
-                }
-                *external.entry(h.shape).or_insert(0) += 1;
+        // DAG-store checks, over every handle entry: handles under
+        // detached nodes linger until `compact` but still name shapes.
+        for h in self.handles.values().flatten() {
+            if h.shape.index() >= self.store.num_interned() {
+                return Err(format!("handle references unknown shape {}", h.shape));
             }
-        }
-        for entries in self.handles.values() {
-            for h in entries {
-                for shape in self.store.reachable_from([h.shape]) {
-                    if let Some(c) = self.store.ann(shape) {
-                        for event in c.events() {
-                            if event.index() >= self.events.len() {
-                                return Err(format!(
-                                    "stored shape {shape} references undeclared event index {}",
-                                    event.index()
-                                ));
-                            }
+            if self.store.ann(h.shape).is_some() {
+                return Err(format!(
+                    "handle shape {} is not bare (stored root carries a condition)",
+                    h.shape
+                ));
+            }
+            for shape in self.store.reachable_from([h.shape]) {
+                if let Some(c) = self.store.ann(shape) {
+                    for event in c.events() {
+                        if event.index() >= self.events.len() {
+                            return Err(format!(
+                                "stored shape {shape} references undeclared event index {}",
+                                event.index()
+                            ));
                         }
                     }
                 }
             }
         }
         self.store
-            .validate(&external)
+            .validate()
             .map_err(|e| format!("node store: {e}"))?;
         Ok(())
     }
@@ -783,9 +751,9 @@ impl ProbTree {
 }
 
 /// Translates a shape from `src` into `dst`, memoized, preserving labels,
-/// annotations and stored child order. Used by [`ProbTree::compact`] (GC
-/// into a fresh store) and [`ProbTree::intern_into`] (cross-document
-/// dedup into a shared store).
+/// annotations and stored child order. Used by [`ProbTree::compact`]
+/// (collection into a fresh store) and [`ProbTree::intern_into`]
+/// (cross-document dedup into a shared store).
 fn reintern_shape(
     src: &NodeStore<Condition>,
     dst: &mut NodeStore<Condition>,
@@ -839,10 +807,9 @@ pub fn corpus_memory_stats(docs: &[&ProbTree]) -> MemoryStats {
     }
     MemoryStats {
         logical_nodes,
-        distinct_nodes: store.num_live(),
+        distinct_nodes: store.num_interned(),
         logical_literals,
         shared_occurrences,
-        store_live_shapes: store.num_live(),
     }
 }
 
@@ -1080,8 +1047,50 @@ mod tests {
         compacted.validate_invariants().unwrap();
         assert_eq!(compacted.num_nodes(), 4, "A, B and the shared C copy");
         assert!(compacted.has_shared());
-        let stats = compacted.memory_stats();
-        assert_eq!(stats.store_live_shapes, 2, "bare C and full D only");
+        assert_eq!(
+            compacted.store().num_interned(),
+            2,
+            "bare C and full D only"
+        );
+    }
+
+    #[test]
+    fn duplicating_again_after_a_fault_in_reuses_stored_shapes() {
+        let mut t = figure1_example();
+        let c = t.tree().iter().find(|&n| t.tree().label(n) == "C").unwrap();
+        let root = t.tree().root();
+        t.duplicate_subtree(root, c, Condition::always());
+        let interned = t.store().num_interned();
+        assert_eq!(interned, 2, "bare C and full D");
+        t.fault_in(root);
+        t.duplicate_subtree(root, c, Condition::always());
+        assert_eq!(
+            t.store().num_interned(),
+            interned,
+            "the store is append-only"
+        );
+        t.validate_invariants().unwrap();
+    }
+
+    #[test]
+    fn handles_under_detached_nodes_are_not_shared() {
+        let mut t = figure1_example();
+        let find =
+            |t: &ProbTree, label: &str| t.tree().iter().find(|&n| t.tree().label(n) == label);
+        let (b, c) = (find(&t, "B").unwrap(), find(&t, "C").unwrap());
+        t.duplicate_subtree(b, c, Condition::always());
+        assert!(t.has_shared());
+        t.detach(b);
+        assert!(
+            !t.has_shared(),
+            "the only handles hang under a detached node"
+        );
+        let (arena_len, ascii) = (t.tree().arena_len(), t.to_ascii());
+        t.expand_all();
+        assert_eq!(t.tree().arena_len(), arena_len, "nothing faulted in");
+        assert_eq!(t.to_ascii(), ascii);
+        assert_eq!(t.shared_children(b).len(), 1, "kept until compaction");
+        t.validate_invariants().unwrap();
     }
 
     #[test]

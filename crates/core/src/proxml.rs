@@ -139,6 +139,11 @@ pub fn from_xml(text: &str) -> Result<ProbTree, ProXmlError> {
                     "event probability {prob} out of (0, 1]"
                 )));
             }
+            if events.by_name(name).is_some() {
+                return Err(ProXmlError::Format(format!(
+                    "event {name:?} is declared twice"
+                )));
+            }
             events.insert(name, prob);
         }
     }
@@ -242,6 +247,17 @@ mod tests {
             <node label="A"/>
         </prob-tree>"#;
         assert!(from_xml(doc).is_err());
+    }
+
+    #[test]
+    fn duplicate_event_name_is_rejected() {
+        let doc = r#"<prob-tree>
+            <events><event name="w" prob="0.5"/><event name="w" prob="0.4"/></events>
+            <node label="A"/>
+        </prob-tree>"#;
+        let err = from_xml(doc).unwrap_err();
+        assert!(matches!(err, ProXmlError::Format(_)), "{err}");
+        assert!(err.to_string().contains("declared twice"), "{err}");
     }
 
     #[test]

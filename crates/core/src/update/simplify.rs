@@ -43,7 +43,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use pxml_events::{Condition, Dnf, Literal};
-use pxml_tree::{AnnotatedCanonInterner, NodeId};
+use pxml_tree::{CanonInterner, NodeId, Semantics};
 
 use crate::clean::{clean_in_place, is_impossible, prune_certain};
 use crate::probtree::ProbTree;
@@ -207,11 +207,11 @@ fn merge_group(tree: &mut ProbTree, parent: NodeId, group: &[NodeId]) -> usize {
     merged
 }
 
-/// Shape codes of one merge sweep, over the shared
-/// [`AnnotatedCanonInterner`] of `pxml_tree` — the same interner the
-/// hash-consed [`pxml_tree::NodeStore`] uses for its canonical codes, so
-/// one annotation convention serves both: inner nodes intern under
-/// `Some(γ)`, the node itself under `None` (the *bare* variant). Two nodes
+/// Shape codes of one merge sweep, over the [`CanonInterner`] of
+/// `pxml_tree` (the one [`pxml_tree::isomorphic`] uses) with conditions as
+/// annotations, under the convention of the hash-consed
+/// [`pxml_tree::NodeStore`]: inner nodes intern under `Some(γ)`, the node
+/// itself under `None` (the *bare* variant). Two nodes
 /// share a full code iff their subtrees are identical including every
 /// condition, and share a bare code iff they are identical except for
 /// their own root condition — which is what the merge rewrites, so
@@ -222,7 +222,7 @@ fn merge_group(tree: &mut ProbTree, parent: NodeId, group: &[NodeId]) -> usize {
 /// codes are asked for once per child of a gated parent.
 #[derive(Default)]
 struct ShapeCodes {
-    interner: AnnotatedCanonInterner<Condition>,
+    interner: CanonInterner<Condition>,
     full: HashMap<NodeId, u32>,
 }
 
@@ -235,8 +235,12 @@ impl ShapeCodes {
             .iter()
             .map(|&c| self.full(tree, c))
             .collect();
-        self.interner
-            .intern(tree.tree().label(node), None, child_codes)
+        self.interner.intern(
+            tree.tree().label(node),
+            None,
+            child_codes,
+            Semantics::MultiSet,
+        )
     }
 
     /// The full code of `node`, interning its subtree bottom-up as far as
@@ -251,6 +255,7 @@ impl ShapeCodes {
                     tree.tree().label(n),
                     Some(&tree.condition(n)),
                     child_codes,
+                    Semantics::MultiSet,
                 );
                 self.full.insert(n, code);
             } else if !self.full.contains_key(&n) {
@@ -282,7 +287,7 @@ mod tests {
     /// Bare shape codes for every reachable node, computed in one
     /// bottom-up sweep: the whole-tree oracle of [`ShapeCodes`].
     fn bare_shape_codes(tree: &ProbTree) -> HashMap<NodeId, u32> {
-        let mut interner: AnnotatedCanonInterner<Condition> = AnnotatedCanonInterner::new();
+        let mut interner: CanonInterner<Condition> = CanonInterner::new();
         let mut full: HashMap<NodeId, u32> = HashMap::new();
         let mut bare: HashMap<NodeId, u32> = HashMap::new();
         // Reverse pre-order visits children before their parents.
@@ -294,9 +299,17 @@ mod tests {
             let condition = tree.condition(node);
             full.insert(
                 node,
-                interner.intern(label, Some(&condition), child_codes.clone()),
+                interner.intern(
+                    label,
+                    Some(&condition),
+                    child_codes.clone(),
+                    Semantics::MultiSet,
+                ),
             );
-            bare.insert(node, interner.intern(label, None, child_codes));
+            bare.insert(
+                node,
+                interner.intern(label, None, child_codes, Semantics::MultiSet),
+            );
         }
         bare
     }

@@ -324,36 +324,20 @@ impl DataTree {
         shape: ShapeId,
         on_node: &mut dyn FnMut(NodeId, Option<&A>),
     ) -> NodeId {
-        let new_root = self.add_child(parent, store.label(shape));
-        on_node(new_root, store.ann(shape));
-        self.graft_shape_children(store, shape, new_root, on_node);
-        new_root
-    }
-
-    /// Expands the *children* of `shape` under the existing node `target`,
-    /// in stored order. See [`DataTree::graft_shape`] for `on_node`.
-    pub fn graft_shape_children<A: Clone + Eq + Hash>(
-        &mut self,
-        store: &NodeStore<A>,
-        shape: ShapeId,
-        target: NodeId,
-        on_node: &mut dyn FnMut(NodeId, Option<&A>),
-    ) {
         // Depth-first with explicit stack; children of one parent are
-        // pushed in reverse so they are created in stored order.
-        let mut stack: Vec<(NodeId, ShapeId)> = store
-            .children(shape)
-            .iter()
-            .rev()
-            .map(|&c| (target, c))
-            .collect();
+        // pushed in reverse so they are created in stored order. The first
+        // node created is the expansion's root.
+        let mut new_root = None;
+        let mut stack = vec![(parent, shape)];
         while let Some((dst, s)) = stack.pop() {
             let node = self.add_child(dst, store.label(s));
             on_node(node, store.ann(s));
+            new_root.get_or_insert(node);
             for &c in store.children(s).iter().rev() {
                 stack.push((node, c));
             }
         }
+        new_root.expect("a shape expands to at least its root")
     }
 
     /// Collects, for every reachable node, the multiset of child labels.

@@ -30,26 +30,45 @@ pub enum Semantics {
     Set,
 }
 
-/// Interner that assigns canonical integer codes to (label, child-codes)
-/// shapes shared across several trees. Comparing root codes obtained from
-/// the *same* interner decides isomorphism.
-#[derive(Default, Debug)]
-pub struct CanonInterner {
-    codes: HashMap<(String, Vec<u32>), u32>,
+/// Interner that assigns canonical integer codes to shapes shared across
+/// several trees. Comparing codes obtained from the *same* interner
+/// decides isomorphism.
+///
+/// A node may carry an annotation of type `A` alongside its label
+/// (prob-trees use node conditions; plain data trees use none, the default
+/// `A = ()`). Two shapes receive the same code iff they have the same
+/// label, equal annotations (`Option<A>` — `None` distinguishes "no
+/// annotation" from any real one), and the same multiset of child codes —
+/// the same set under [`Semantics::Set`]. Child order never matters,
+/// matching the unordered-tree semantics of [`isomorphic`].
+#[derive(Clone, Debug)]
+pub struct CanonInterner<A = ()> {
+    codes: HashMap<(String, Option<A>, Vec<u32>), u32>,
 }
 
-impl CanonInterner {
+impl<A: Clone + Eq + Hash> CanonInterner<A> {
     /// Creates an empty interner.
     pub fn new() -> Self {
-        Self::default()
+        CanonInterner {
+            codes: HashMap::new(),
+        }
     }
 
-    /// Number of distinct (label, child-code multiset) shapes seen so far.
+    /// Number of distinct shapes seen so far.
     pub fn distinct_shapes(&self) -> usize {
         self.codes.len()
     }
 
-    fn intern(&mut self, label: &str, mut child_codes: Vec<u32>, semantics: Semantics) -> u32 {
+    /// Interns an annotated shape, sorting `child_codes` so that child
+    /// order is irrelevant (and deduplicating them under
+    /// [`Semantics::Set`]), and returns its canonical code.
+    pub fn intern(
+        &mut self,
+        label: &str,
+        ann: Option<&A>,
+        mut child_codes: Vec<u32>,
+        semantics: Semantics,
+    ) -> u32 {
         child_codes.sort_unstable();
         if semantics == Semantics::Set {
             child_codes.dedup();
@@ -57,12 +76,13 @@ impl CanonInterner {
         let next = self.codes.len() as u32;
         *self
             .codes
-            .entry((label.to_string(), child_codes))
+            .entry((label.to_string(), ann.cloned(), child_codes))
             .or_insert(next)
     }
 
-    /// Computes canonical codes for every reachable node of `tree`,
-    /// returning the per-node codes and the root code.
+    /// Computes canonical codes for every reachable node of `tree` (whose
+    /// nodes carry no annotation), returning the per-node codes and the
+    /// root code.
     pub fn canonize(&mut self, tree: &DataTree, semantics: Semantics) -> CanonCodes {
         // Process nodes children-first: reverse pre-order works because a
         // pre-order pushes parents before children, so the reverse visits
@@ -71,7 +91,7 @@ impl CanonInterner {
         let mut codes: HashMap<NodeId, u32> = HashMap::with_capacity(order.len());
         for &node in order.iter().rev() {
             let child_codes: Vec<u32> = tree.children(node).iter().map(|c| codes[c]).collect();
-            let code = self.intern(tree.label(node), child_codes, semantics);
+            let code = self.intern(tree.label(node), None, child_codes, semantics);
             codes.insert(node, code);
         }
         let root_code = codes[&tree.root()];
@@ -79,47 +99,7 @@ impl CanonInterner {
     }
 }
 
-/// [`CanonInterner`] generalized to trees whose nodes carry an annotation
-/// of type `A` alongside the label (prob-trees use node conditions; the
-/// hash-consed [`crate::store::NodeStore`] uses this interner for its
-/// order-insensitive canonical codes).
-///
-/// Two shapes receive the same code iff they have the same label, equal
-/// annotations (`Option<A>` — `None` distinguishes "no annotation" from
-/// any real one), and the same **multiset** of child codes: child order
-/// never matters here, matching the unordered-tree semantics of
-/// [`isomorphic`].
-#[derive(Clone, Debug)]
-pub struct AnnotatedCanonInterner<A> {
-    codes: HashMap<(String, Option<A>, Vec<u32>), u32>,
-}
-
-impl<A: Clone + Eq + Hash> AnnotatedCanonInterner<A> {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        AnnotatedCanonInterner {
-            codes: HashMap::new(),
-        }
-    }
-
-    /// Number of distinct annotated shapes seen so far.
-    pub fn distinct_shapes(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Interns an annotated shape, sorting `child_codes` so that child
-    /// order is irrelevant, and returns its canonical code.
-    pub fn intern(&mut self, label: &str, ann: Option<&A>, mut child_codes: Vec<u32>) -> u32 {
-        child_codes.sort_unstable();
-        let next = self.codes.len() as u32;
-        *self
-            .codes
-            .entry((label.to_string(), ann.cloned(), child_codes))
-            .or_insert(next)
-    }
-}
-
-impl<A: Clone + Eq + Hash> Default for AnnotatedCanonInterner<A> {
+impl<A: Clone + Eq + Hash> Default for CanonInterner<A> {
     fn default() -> Self {
         Self::new()
     }
@@ -141,7 +121,7 @@ pub fn isomorphic(a: &DataTree, b: &DataTree, semantics: Semantics) -> bool {
     if semantics == Semantics::MultiSet && a.len() != b.len() {
         return false;
     }
-    let mut interner = CanonInterner::new();
+    let mut interner: CanonInterner = CanonInterner::new();
     let ca = interner.canonize(a, semantics);
     let cb = interner.canonize(b, semantics);
     ca.root_code == cb.root_code
@@ -178,20 +158,6 @@ pub fn canonical_string(tree: &DataTree, semantics: Semantics) -> String {
         out
     }
     rec(tree, tree.root(), semantics)
-}
-
-/// A 64-bit structural hash of the canonical string — convenient as a cheap
-/// pre-filter before full isomorphism checks.
-pub fn canonical_hash(tree: &DataTree, semantics: Semantics) -> u64 {
-    // FNV-1a over the canonical string: deterministic across runs, unlike
-    // the std hasher.
-    let s = canonical_string(tree, semantics);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in s.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -288,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn canonical_hash_agrees_with_isomorphism_on_samples() {
+    fn canonical_string_agrees_with_isomorphism_on_samples() {
         let a = t(TreeSpec::node(
             "A",
             vec![
@@ -305,15 +271,27 @@ mod tests {
                 TreeSpec::leaf("B"),
             ],
         ));
+        let c = t(TreeSpec::node(
+            "A",
+            vec![TreeSpec::leaf("C"), TreeSpec::leaf("B")],
+        ));
         assert_eq!(
-            canonical_hash(&a, Semantics::MultiSet),
-            canonical_hash(&b, Semantics::MultiSet)
+            canonical_string(&a, Semantics::MultiSet),
+            canonical_string(&b, Semantics::MultiSet)
         );
+        for (x, y) in [(&a, &b), (&a, &c), (&b, &c)] {
+            for semantics in [Semantics::MultiSet, Semantics::Set] {
+                assert_eq!(
+                    canonical_string(x, semantics) == canonical_string(y, semantics),
+                    isomorphic(x, y, semantics)
+                );
+            }
+        }
     }
 
     #[test]
     fn interner_is_shared_across_trees() {
-        let mut interner = CanonInterner::new();
+        let mut interner: CanonInterner = CanonInterner::new();
         let a = star("A", "B", 3);
         let b = star("A", "B", 3);
         let ca = interner.canonize(&a, Semantics::MultiSet);
@@ -332,7 +310,7 @@ mod tests {
         for _ in 0..500 {
             cur = tree.add_child(cur, "A");
         }
-        let mut interner = CanonInterner::new();
+        let mut interner: CanonInterner = CanonInterner::new();
         let codes = interner.canonize(&tree, Semantics::MultiSet);
         assert_eq!(codes.codes.len(), 501);
     }

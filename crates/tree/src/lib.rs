@@ -58,6 +58,6 @@ pub mod subtree;
 
 pub use arena::{DataTree, NodeId};
 pub use builder::TreeSpec;
-pub use canon::{canonical_string, isomorphic, AnnotatedCanonInterner, Semantics};
+pub use canon::{canonical_string, isomorphic, CanonInterner, Semantics};
 pub use store::{NodeStore, ShapeId};
 pub use subtree::SubDataTree;
